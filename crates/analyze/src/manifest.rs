@@ -1,8 +1,8 @@
 //! The hot-path manifest: which functions must stay allocation-free.
 //!
 //! These are the per-sweep / per-kernel functions of the sizing engine —
-//! the code the PR 1/4/6 performance work made allocation-free and the
-//! bitwise-oracle contract depends on. One missed `clone()` or `collect()`
+//! the code that was made allocation-free and that the bitwise-oracle
+//! contract depends on. One missed `clone()` or `collect()`
 //! here silently reintroduces a per-sweep heap allocation, which is
 //! exactly what the `no-alloc` pass exists to catch.
 //!
@@ -23,23 +23,15 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "refresh_coupling_load_sparse",
             "rebuild_downstream_caps",
             "rebuild_upstream",
-            "full_eval",
-            "incremental_eval",
+            "finish_solve_sync",
             "ensure_charged_fresh",
+            "prepare_coupling",
             // The Theorem-5 sweeps themselves.
             "lrs_sweep",
             "fused_forward_sweep",
             "fused_backward_sweep",
-            "fused_parallel_sweep",
-            "verification_sweep",
-            "active_sweep",
-            // Closed-form resize kernels.
+            // Closed-form resize kernel.
             "closed_form",
-            "closed_form_lanes",
-            "resize_component",
-            "resize_tables",
-            "apply_batch",
-            "flush_lanes",
             "cap_unchecked",
             // Dense aggregates used inside the OGWS iteration.
             "total_capacitance",
@@ -70,7 +62,6 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         &[
             // The per-iteration A5 flow projection.
             "project_flow_conservation_indexed",
-            "project_flow_conservation_leveled",
             "flow_conservation_residual",
         ],
     ),
@@ -86,22 +77,8 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "upstream_resistance_update",
             "fused_downstream_resize",
             "fused_upstream_resize",
-            // Level-chunk kernels (scalar and 4-lane).
-            "downstream_caps_chunk",
-            "upstream_resistance_chunk",
-            "fused_downstream_chunk",
-            "fused_upstream_chunk",
-            "fused_downstream_chunk_lanes",
-            "fused_upstream_chunk_lanes",
-            "delays_chunk",
-            "delays_chunk_lanes",
-            "arrivals_chunk",
-            // Streamed per-edge helpers.
-            "child_load_edge",
-            "child_load_edge_fused",
+            // Per-node helpers.
             "child_load_unchecked",
-            "upstream_acc_edges",
-            "upstream_acc_edges_shared",
             "size_of_unchecked",
             "resistance_unchecked",
             "capacitance_unchecked",

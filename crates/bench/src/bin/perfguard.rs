@@ -7,15 +7,8 @@
 //! Compares the per-circuit `seconds_per_iteration` of the freshly
 //! regenerated summary against the committed baseline and exits non-zero
 //! when any circuit regressed by more than `max_regression` (default 0.25,
-//! i.e. 25 %). When **both** files carry a `threads` section (the
-//! level-parallel scaling rows of `table1 --json`), those rows are compared
-//! under the same gate, keyed by `name@t<threads>` — except rows flagged
-//! `oversubscribed` (more workers requested than the host exposes), whose
-//! timing measures scheduler thrash rather than the engine and is skipped.
-//! When both files carry a `simd` section (the scalar-vs-4-lane
-//! single-thread A/B), its scalar and laned timings are gated too, keyed
-//! `name@scalar` / `name@laned`. Circuits present in
-//! only one file are reported but do not fail the guard (the tier set may
+//! i.e. 25 %). Circuits present in only one file are reported but do not
+//! fail the guard (the tier set may
 //! legitimately change across PRs). A zero, negative or non-finite
 //! `seconds_per_iteration` on either side is a *hard error* (exit 2): such
 //! a ratio could never fail — or always fail — the gate, silently
@@ -80,7 +73,7 @@ fn matching_bracket(bytes: &[u8], open: usize) -> Option<usize> {
 /// The interior of the top-level array named `section` (between — not
 /// including — its matching brackets), or `None` when the document has no
 /// such section. Only keys at depth 1 (direct members of the root object)
-/// match, so a circuit *named* `"threads"` can never hijack a section.
+/// match, so a circuit *named* `"schedule"` can never hijack a section.
 fn section_array<'a>(json: &'a str, section: &str) -> Option<&'a str> {
     let bytes = json.as_bytes();
     let mut depth = 0usize;
@@ -232,67 +225,6 @@ fn circuit_timings(json: &str) -> BTreeMap<String, f64> {
     out
 }
 
-/// Extracts `name@t<threads> → seconds_per_iteration` from the `"threads"`
-/// scaling section, when present (older baselines carry none — the caller
-/// compares only when both sides do). Rows flagged `oversubscribed: true`
-/// asked for more workers than the host has; their ratio is a scheduling
-/// artifact, so they are excluded from gating (and announced once).
-fn thread_timings(json: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let Some(array) = section_array(json, "threads") else {
-        return out;
-    };
-    for object in array_objects(array) {
-        if let (Some(name), Some(threads), Some(spi)) = (
-            string_field(object, "name"),
-            number_field(object, "threads"),
-            number_field(object, "seconds_per_iteration"),
-        ) {
-            if field(object, "oversubscribed") == Some("true") {
-                eprintln!("perfguard: threads `{name}@t{threads:.0}` is oversubscribed (skipped)");
-                continue;
-            }
-            out.insert(format!("{name}@t{threads:.0}"), spi);
-        }
-    }
-    out
-}
-
-/// Extracts `name@scalar` / `name@laned` → seconds-per-iteration pairs from
-/// the `"simd"` section (the single-thread scalar-oracle vs 4-lane kernel
-/// A/B), when present.
-fn simd_timings(json: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let Some(array) = section_array(json, "simd") else {
-        return out;
-    };
-    for object in array_objects(array) {
-        if let (Some(name), Some(scalar), Some(laned)) = (
-            string_field(object, "name"),
-            number_field(object, "scalar_seconds_per_iteration"),
-            number_field(object, "laned_seconds_per_iteration"),
-        ) {
-            out.insert(format!("{name}@scalar"), scalar);
-            out.insert(format!("{name}@laned"), laned);
-        }
-    }
-    out
-}
-
-/// The measurement context of a summary's `threads` scaling rows:
-/// `(hardware_threads, parallel_feature)` as raw value text. Speedups are
-/// only comparable between runs that share it.
-fn scaling_context(json: &str) -> Option<(String, String)> {
-    let doc = json.trim();
-    if !doc.starts_with('{') {
-        return None;
-    }
-    Some((
-        field(doc, "hardware_threads")?.to_string(),
-        field(doc, "parallel_feature")?.to_string(),
-    ))
-}
-
 /// Compares one timing map against its baseline. Returns whether any row
 /// regressed beyond `max_regression`.
 ///
@@ -373,69 +305,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut failed = match compare("circuit", &baseline, &current, max_regression) {
+    let failed = match compare("circuit", &baseline, &current, max_regression) {
         Ok(failed) => failed,
         Err(message) => {
             eprintln!("perfguard: hard error: {message}");
             return ExitCode::from(2);
         }
     };
-
-    // The threads scaling rows are compared only when both documents carry
-    // them (older baselines predate the section) AND both were measured in
-    // the same parallel context: the rows are machine-dependent by nature
-    // (a t4 row measured on one core records oversubscription, on eight
-    // cores real scaling), so diffing them across machines would fail CI
-    // with no code regression behind it.
-    let baseline_threads = thread_timings(&baseline_doc);
-    let current_threads = thread_timings(&current_doc);
-    let contexts_match = match (
-        scaling_context(&baseline_doc),
-        scaling_context(&current_doc),
-    ) {
-        (Some(base), Some(now)) if base == now => true,
-        (Some(base), Some(now)) => {
-            eprintln!(
-                "perfguard: threads rows measured in different contexts \
-                 (baseline {base:?} vs current {now:?}); skipped"
-            );
-            false
-        }
-        _ => false,
-    };
-    if contexts_match && !baseline_threads.is_empty() && !current_threads.is_empty() {
-        match compare(
-            "threads",
-            &baseline_threads,
-            &current_threads,
-            max_regression,
-        ) {
-            Ok(threads_failed) => failed |= threads_failed,
-            Err(message) => {
-                eprintln!("perfguard: hard error: {message}");
-                return ExitCode::from(2);
-            }
-        }
-    } else if baseline_threads.is_empty() != current_threads.is_empty() {
-        eprintln!("perfguard: threads section present in only one file (skipped)");
-    }
-
-    // The simd rows are single-thread on both sides, so no scaling-context
-    // match is needed — the same committed-vs-regenerated premise as the
-    // circuits section applies.
-    let baseline_simd = simd_timings(&baseline_doc);
-    let current_simd = simd_timings(&current_doc);
-    if !baseline_simd.is_empty() && !current_simd.is_empty() {
-        match compare("simd", &baseline_simd, &current_simd, max_regression) {
-            Ok(simd_failed) => failed |= simd_failed,
-            Err(message) => {
-                eprintln!("perfguard: hard error: {message}");
-                return ExitCode::from(2);
-            }
-        }
-    } else if baseline_simd.is_empty() != current_simd.is_empty() {
-        eprintln!("perfguard: simd section present in only one file (skipped)");
-    }
 
     if failed {
         eprintln!(
@@ -465,17 +341,6 @@ mod tests {
   ],
   "schedule": [
     { "name": "xl10", "components": 10000, "exact_seconds_per_iteration": 0.0065 }
-  ],
-  "simd": [
-    { "name": "xlw10", "components": 10000,
-      "scalar_seconds_per_iteration": 0.006,
-      "laned_seconds_per_iteration": 0.003, "speedup": 2.0 }
-  ],
-  "threads": [
-    { "name": "xlw10", "threads": 1, "seconds_per_iteration": 0.004 },
-    { "name": "xlw10", "threads": 4, "seconds_per_iteration": 0.0015 },
-    { "name": "xlw10", "threads": 8, "seconds_per_iteration": 0.0031,
-      "oversubscribed": true }
   ]
 }"#;
 
@@ -521,7 +386,6 @@ mod tests {
     fn schedule_rows_are_not_mixed_in() {
         let map = circuit_timings(SAMPLE);
         assert!(!map.contains_key("xl10"));
-        assert!(!map.contains_key("xlw10"));
     }
 
     #[test]
@@ -552,44 +416,49 @@ mod tests {
         assert!(!map.contains_key("untimed"));
     }
 
+    /// Summaries written before the thread and lane sections were dropped
+    /// still carry them; their rows are not circuits.
+    const LEGACY: &str = r#"{
+  "circuits": [
+    { "name": "c432", "seconds_per_iteration": 0.000125 }
+  ],
+  "threads": [
+    { "name": "xlw100k", "threads": 2, "seconds_per_iteration": 0.3, "oversubscribed": false }
+  ],
+  "simd": [
+    { "name": "xlw100k", "scalar_seconds_per_iteration": 0.29, "laned_seconds_per_iteration": 0.28 }
+  ]
+}"#;
+
     #[test]
-    fn thread_rows_are_keyed_by_name_and_count() {
-        let map = thread_timings(SAMPLE);
-        assert_eq!(map.len(), 2);
-        assert!((map["xlw10@t1"] - 0.004).abs() < 1e-12);
-        assert!((map["xlw10@t4"] - 0.0015).abs() < 1e-12);
-        assert!(thread_timings(NESTED).is_empty(), "absent section is empty");
+    fn legacy_thread_and_lane_sections_are_ignored() {
+        let map = circuit_timings(LEGACY);
+        assert_eq!(map.len(), 1);
+        assert!((map["c432"] - 0.000125).abs() < 1e-12);
     }
 
     #[test]
-    fn oversubscribed_thread_rows_are_excluded_from_gating() {
-        let map = thread_timings(SAMPLE);
-        assert!(
-            !map.contains_key("xlw10@t8"),
-            "the t8 row is flagged oversubscribed and must not be ratio-gated"
-        );
+    fn only_top_level_keys_name_a_section() {
+        // A `circuits` key nested inside another section is not the
+        // top-level array.
+        let doc = r#"{
+  "schedule": [ { "name": "xl10", "circuits": [ { "name": "inner", "seconds_per_iteration": 9.0 } ] } ],
+  "circuits": [ { "name": "outer", "seconds_per_iteration": 0.5 } ]
+}"#;
+        let map = circuit_timings(doc);
+        assert_eq!(map.keys().collect::<Vec<_>>(), ["outer"]);
+        assert!(section_array(r#"{ "x": { "circuits": [] } }"#, "circuits").is_none());
     }
 
     #[test]
-    fn simd_rows_expose_both_scalar_and_laned_timings() {
-        let map = simd_timings(SAMPLE);
-        assert_eq!(map.len(), 2);
-        assert!((map["xlw10@scalar"] - 0.006).abs() < 1e-12);
-        assert!((map["xlw10@laned"] - 0.003).abs() < 1e-12);
-        assert!(simd_timings(NESTED).is_empty(), "absent section is empty");
-    }
-
-    #[test]
-    fn scaling_context_reads_the_measurement_fields() {
-        let doc = r#"{ "bench": "table1", "parallel_feature": true,
-                       "hardware_threads": 8, "threads": [] }"#;
-        assert_eq!(
-            scaling_context(doc),
-            Some(("8".to_string(), "true".to_string()))
-        );
-        // Documents predating the fields carry no context — the threads
-        // comparison is skipped rather than spuriously failed.
-        assert_eq!(scaling_context(r#"{ "bench": "table1" }"#), None);
+    fn committed_baseline_has_a_positive_timing_per_circuit() {
+        let baseline = include_str!("../../../../BENCH_table1.json");
+        let map = circuit_timings(baseline);
+        assert!(!map.is_empty());
+        for (name, spi) in &map {
+            assert!(spi.is_finite() && *spi > 0.0, "{name}: {spi}");
+        }
+        assert_eq!(compare("self", &map, &map, 0.25), Ok(false));
     }
 
     fn map(entries: &[(&str, f64)]) -> BTreeMap<String, f64> {

@@ -16,32 +16,23 @@
 //! Table-1 rows (now including the inner-sweep accounting of the solve
 //! schedule), the summary carries a `schedule` section comparing the exact
 //! Figure-8 schedule against the adaptive solve schedule on the XL
-//! synthetic tier (1k/10k — plus 100k components outside quick mode), a
-//! `simd` section comparing the scalar sequential oracle against the
-//! 4-lane vectorized kernels (`ParallelPolicy::threads(1)`) on the wide XL
-//! tier, and a `threads` section measuring the level-parallel policy
-//! (`ParallelPolicy::threads`) on the wide XL tier at 1/2/4 threads — read
-//! those speedups against the document's `hardware_threads` and
-//! `parallel_feature` fields (a single-core CI runner can only demonstrate
-//! determinism, not scaling). Thread rows asking for more workers than the
-//! host has are flagged `oversubscribed` so downstream comparisons can
-//! ignore their scheduling artifacts. Perfguard compares the `schedule`,
-//! `simd` and non-oversubscribed `threads` rows across baselines whenever
-//! both files carry them.
+//! synthetic tier (1k/10k — plus 100k components outside quick mode).
+//! Perfguard gates the per-circuit rows.
+//!
+//! Every circuit row (printed and in the JSON summary) says whether the
+//! run reached the configured gap tolerance (`converged`) and why it
+//! stopped (`stop_reason`), next to its final duality gap.
 
 use std::time::Instant;
 
 use ncgws_bench::{generate, optimize, paper_config, quick_mode};
 use ncgws_core::report::{average_improvements, OptimizationReport};
-use ncgws_core::{Flow, OptimizerConfig, ParallelPolicy, SolveStrategy};
-use ncgws_netlist::{table1_specs, xl_spec, xl_wide_spec};
+use ncgws_core::{Flow, OptimizerConfig, SolveStrategy};
+use ncgws_netlist::{table1_specs, xl_spec};
 
 /// Outer-iteration budget of the XL schedule comparison (matches the
 /// `ogws_schedule` criterion bench).
 const SCHEDULE_ITERATIONS: usize = 25;
-
-/// Thread counts measured by the `threads` scaling section.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn main() {
     // With `--json` every row is emitted as one JSON-serialized
@@ -81,9 +72,7 @@ fn main() {
 
     if json_mode {
         let schedule = run_schedule_comparison(quick);
-        let simd = run_simd_comparison(quick);
-        let threads = run_threads_scaling(quick);
-        write_bench_summary(&reports, schedule, simd, threads, quick);
+        write_bench_summary(&reports, schedule, quick);
         return;
     }
 
@@ -116,9 +105,36 @@ struct BenchRow {
     mean_touched_per_sweep: f64,
     memory_kib: f64,
     feasible: bool,
+    /// Whether the duality gap reached the configured tolerance.
+    converged: bool,
+    /// Why the outer loop stopped (`converged`, `stagnated`,
+    /// `iteration-limit`, ...).
+    stop_reason: String,
     duality_gap: f64,
     noise_improvement_pct: f64,
     area_improvement_pct: f64,
+}
+
+impl BenchRow {
+    fn from_report(r: &OptimizationReport) -> Self {
+        BenchRow {
+            name: r.name.clone(),
+            components: r.total_components(),
+            iterations: r.iterations,
+            runtime_seconds: r.runtime_seconds,
+            seconds_per_iteration: r.seconds_per_iteration,
+            sweeps_total: r.sweeps_total,
+            mean_sweeps_per_solve: r.mean_sweeps_per_solve,
+            mean_touched_per_sweep: r.mean_touched_per_sweep,
+            memory_kib: r.memory.total() as f64 / 1024.0,
+            feasible: r.feasible,
+            converged: r.converged,
+            stop_reason: r.stop_reason.to_string(),
+            duality_gap: r.duality_gap,
+            noise_improvement_pct: r.improvements.noise_pct,
+            area_improvement_pct: r.improvements.area_pct,
+        }
+    }
 }
 
 /// One XL-tier row comparing the exact and adaptive solve schedules on the
@@ -141,55 +157,18 @@ struct ScheduleRow {
     feasibility_agrees: bool,
 }
 
-/// One row of the `threads` scaling section: the adaptive schedule on a
-/// wide-XL tier under the level-parallel policy at one thread count.
-#[derive(serde::Serialize)]
-struct ThreadsRow {
-    name: String,
-    components: usize,
-    threads: usize,
-    iterations: usize,
-    seconds_per_iteration: f64,
-    /// `t1 / tN` end-to-end stage-2 ratio. Only meaningful on hardware with
-    /// that many cores and the `parallel` feature compiled in — see the
-    /// document-level `hardware_threads` / `parallel_feature` fields.
-    speedup_vs_one_thread: f64,
-    /// `true` when the row requested more workers than the host exposes
-    /// (`hardware_threads < threads`): its ratio measures scheduler
-    /// oversubscription, not the engine, so `perfguard` skips gating it.
-    oversubscribed: bool,
-}
-
-/// One row of the `simd` section: the adaptive schedule on the wide XL
-/// tier, scalar sequential oracle (`ParallelPolicy::Sequential`) vs the
-/// 4-lane vectorized kernel path (`ParallelPolicy::threads(1)` — the same
-/// deterministic grid on the calling thread, laned kernels enabled).
-#[derive(serde::Serialize)]
-struct SimdRow {
-    name: String,
-    components: usize,
-    iterations: usize,
-    scalar_seconds_per_iteration: f64,
-    laned_seconds_per_iteration: f64,
-    /// `scalar / laned` — the single-thread vectorization win.
-    speedup: f64,
-}
-
 /// The whole `BENCH_table1.json` document.
 #[derive(serde::Serialize)]
 struct BenchSummary {
     bench: String,
     quick: bool,
-    /// Whether the binary was compiled with the `parallel` feature (without
-    /// it the `threads` rows all execute the same grid on one thread).
+    /// Whether the binary was compiled with the `parallel` feature (stage-1
+    /// channel ordering fans out across threads; stage 2 never does).
     parallel_feature: bool,
-    /// `std::thread::available_parallelism()` of the benchmarking machine —
-    /// the context the `threads` speedups must be read in.
+    /// `std::thread::available_parallelism()` of the benchmarking machine.
     hardware_threads: usize,
     circuits: Vec<BenchRow>,
     schedule: Vec<ScheduleRow>,
-    simd: Vec<SimdRow>,
-    threads: Vec<ThreadsRow>,
     average_improvements: ncgws_core::report::Improvements,
     total_runtime_seconds: f64,
 }
@@ -248,151 +227,10 @@ fn run_schedule_comparison(quick: bool) -> Vec<ScheduleRow> {
     rows
 }
 
-/// Runs the level-parallel thread-scaling measurement: the adaptive
-/// schedule on the *wide* XL tier (logarithmic-depth circuits — the shape
-/// level parallelism scales on; the chain-like `xl_spec` tier is
-/// depth-dominated and stays in the `schedule` section) at 1/2/4 threads.
-/// Also asserts the determinism contract: every thread count must land on
-/// the exact same final metrics.
-fn run_threads_scaling(quick: bool) -> Vec<ThreadsRow> {
-    let tiers: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut rows = Vec::new();
-    for &components in tiers {
-        let instance = generate(xl_wide_spec(components));
-        let mut one_thread_spi = f64::NAN;
-        let mut reference_metrics = None;
-        for &threads in &THREAD_COUNTS {
-            let config = OptimizerConfig {
-                max_iterations: SCHEDULE_ITERATIONS,
-                solve_strategy: SolveStrategy::adaptive(),
-                parallel: ParallelPolicy::threads(threads),
-                ..OptimizerConfig::default()
-            };
-            let ordered = Flow::prepare(&instance, config)
-                .expect("valid configuration")
-                .order()
-                .expect("stage 1 succeeds");
-            let started = Instant::now();
-            let sized = ordered.size().expect("stage 2 succeeds");
-            let elapsed = started.elapsed().as_secs_f64();
-            let iterations = sized.report.iterations.max(1);
-            let spi = elapsed / iterations as f64;
-            if threads == 1 {
-                one_thread_spi = spi;
-            }
-            match &reference_metrics {
-                None => reference_metrics = Some(sized.report.final_metrics),
-                Some(reference) => assert_eq!(
-                    *reference, sized.report.final_metrics,
-                    "thread-count determinism violated at {threads} threads"
-                ),
-            }
-            eprintln!(
-                "threads {}@t{threads}: {spi:.6} s/iter ({:.2}x vs t1)",
-                sized.report.name,
-                one_thread_spi / spi
-            );
-            rows.push(ThreadsRow {
-                name: sized.report.name.clone(),
-                components,
-                threads,
-                // The actual count behind the spi denominator (the run may
-                // converge below the SCHEDULE_ITERATIONS budget).
-                iterations,
-                seconds_per_iteration: spi,
-                speedup_vs_one_thread: one_thread_spi / spi,
-                oversubscribed: hardware_threads < threads,
-            });
-        }
-    }
-    rows
-}
-
-/// Runs the single-thread vectorization A/B: the adaptive schedule on the
-/// wide XL tier with `ParallelPolicy::Sequential` (the untouched scalar
-/// oracle) against `ParallelPolicy::threads(1)` (the same deterministic
-/// chunk grid walked on the calling thread, with the 4-lane kernels and
-/// lane-blocked aggregates engaged). Both runs sit under the adaptive
-/// epsilon-pinned contract, so their final metrics must agree to 1e-6
-/// relative — asserted here, gated continuously by the property tests.
-fn run_simd_comparison(quick: bool) -> Vec<SimdRow> {
-    let tiers: &[usize] = if quick {
-        &[1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let mut rows = Vec::new();
-    for &components in tiers {
-        let instance = generate(xl_wide_spec(components));
-        let mut per_policy = Vec::new();
-        for policy in [ParallelPolicy::Sequential, ParallelPolicy::threads(1)] {
-            let config = OptimizerConfig {
-                max_iterations: SCHEDULE_ITERATIONS,
-                solve_strategy: SolveStrategy::adaptive(),
-                parallel: policy,
-                ..OptimizerConfig::default()
-            };
-            let ordered = Flow::prepare(&instance, config)
-                .expect("valid configuration")
-                .order()
-                .expect("stage 1 succeeds");
-            let started = Instant::now();
-            let sized = ordered.size().expect("stage 2 succeeds");
-            let elapsed = started.elapsed().as_secs_f64();
-            let iterations = sized.report.iterations.max(1);
-            per_policy.push((elapsed / iterations as f64, sized.report));
-        }
-        let (scalar_spi, scalar) = &per_policy[0];
-        let (laned_spi, laned) = &per_policy[1];
-        for (metric, s, l) in [
-            (
-                "noise_pf",
-                scalar.final_metrics.noise_pf,
-                laned.final_metrics.noise_pf,
-            ),
-            (
-                "area_um2",
-                scalar.final_metrics.area_um2,
-                laned.final_metrics.area_um2,
-            ),
-        ] {
-            assert!(
-                (s - l).abs() <= 1e-6 * s.abs().max(1.0),
-                "laned kernels drifted past the 1e-6 contract on tier {components} ({metric}: scalar {s}, laned {l})"
-            );
-        }
-        eprintln!(
-            "simd {} tier {components}: scalar {:.6} s/iter, laned {:.6} s/iter ({:.2}x)",
-            scalar.name,
-            scalar_spi,
-            laned_spi,
-            scalar_spi / laned_spi
-        );
-        rows.push(SimdRow {
-            name: scalar.name.clone(),
-            components,
-            iterations: SCHEDULE_ITERATIONS,
-            scalar_seconds_per_iteration: *scalar_spi,
-            laned_seconds_per_iteration: *laned_spi,
-            speedup: scalar_spi / laned_spi,
-        });
-    }
-    rows
-}
-
 /// The machine-readable perf-trajectory artifact: per-circuit aggregates
 /// small and stable enough to diff across PRs (full `OptimizationReport`s
 /// go to stdout / `target/table1_results.json`).
-fn write_bench_summary(
-    reports: &[OptimizationReport],
-    schedule: Vec<ScheduleRow>,
-    simd: Vec<SimdRow>,
-    threads: Vec<ThreadsRow>,
-    quick: bool,
-) {
+fn write_bench_summary(reports: &[OptimizationReport], schedule: Vec<ScheduleRow>, quick: bool) {
     let summary = BenchSummary {
         bench: "table1".to_string(),
         quick,
@@ -400,27 +238,8 @@ fn write_bench_summary(
         hardware_threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        circuits: reports
-            .iter()
-            .map(|r| BenchRow {
-                name: r.name.clone(),
-                components: r.total_components(),
-                iterations: r.iterations,
-                runtime_seconds: r.runtime_seconds,
-                seconds_per_iteration: r.seconds_per_iteration,
-                sweeps_total: r.sweeps_total,
-                mean_sweeps_per_solve: r.mean_sweeps_per_solve,
-                mean_touched_per_sweep: r.mean_touched_per_sweep,
-                memory_kib: r.memory.total() as f64 / 1024.0,
-                feasible: r.feasible,
-                duality_gap: r.duality_gap,
-                noise_improvement_pct: r.improvements.noise_pct,
-                area_improvement_pct: r.improvements.area_pct,
-            })
-            .collect(),
+        circuits: reports.iter().map(BenchRow::from_report).collect(),
         schedule,
-        simd,
-        threads,
         average_improvements: average_improvements(reports),
         total_runtime_seconds: reports.iter().map(|r| r.runtime_seconds).sum::<f64>(),
     };
@@ -441,5 +260,34 @@ fn write_bench_summary(
             eprintln!("failed to serialize bench summary: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ncgws_netlist::CircuitSpec;
+
+    #[test]
+    fn bench_rows_carry_convergence_and_stop_reason() {
+        let instance = generate(CircuitSpec::new("row", 20, 45).with_seed(3));
+        let config = OptimizerConfig {
+            max_iterations: 3,
+            gap_tolerance: 1e-12,
+            ..paper_config()
+        };
+        let report = optimize(&instance, config).report;
+        let row = BenchRow::from_report(&report);
+        assert!(!row.converged);
+        assert_eq!(row.stop_reason, "iteration-limit");
+        assert_eq!(row.iterations, 3);
+        assert_eq!(row.duality_gap, report.duality_gap);
+
+        let json = serde_json::to_string(&row).unwrap();
+        assert!(json.contains("\"converged\":false"), "{json}");
+        assert!(
+            json.contains("\"stop_reason\":\"iteration-limit\""),
+            "{json}"
+        );
     }
 }

@@ -50,6 +50,9 @@ pub struct CircuitBuilder {
     nodes: Vec<Node>,
     edges: Vec<(usize, usize)>,
     edge_set: HashSet<(usize, usize)>,
+    /// Per component: whether it already has a fanin edge, so the
+    /// one-driver rule for wires is an O(1) check.
+    driven: Vec<bool>,
     names: HashSet<String>,
     output_loads: HashMap<usize, f64>,
 }
@@ -62,6 +65,7 @@ impl CircuitBuilder {
             nodes: Vec::new(),
             edges: Vec::new(),
             edge_set: HashSet::new(),
+            driven: Vec::new(),
             names: HashSet::new(),
             output_loads: HashMap::new(),
         }
@@ -80,6 +84,12 @@ impl CircuitBuilder {
     /// Returns `true` if no component has been added yet.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    fn push_node(&mut self, node: Node) -> BuildNode {
+        self.nodes.push(node);
+        self.driven.push(false);
+        BuildNode(self.nodes.len() - 1)
     }
 
     fn register_name(&mut self, name: &str) -> Result<(), CircuitError> {
@@ -103,12 +113,11 @@ impl CircuitBuilder {
             });
         }
         self.register_name(name)?;
-        self.nodes.push(Node {
+        Ok(self.push_node(Node {
             kind: NodeKind::Driver,
             name: name.to_string(),
             attrs: NodeAttrs::driver(rd),
-        });
-        Ok(BuildNode(self.nodes.len() - 1))
+        }))
     }
 
     /// Adds a gate of the given logic kind.
@@ -118,12 +127,12 @@ impl CircuitBuilder {
     /// Returns an error if the name is already used.
     pub fn add_gate(&mut self, name: &str, kind: GateKind) -> Result<BuildNode, CircuitError> {
         self.register_name(name)?;
-        self.nodes.push(Node {
+        let attrs = NodeAttrs::gate(&self.tech);
+        Ok(self.push_node(Node {
             kind: NodeKind::Gate(kind),
             name: name.to_string(),
-            attrs: NodeAttrs::gate(&self.tech),
-        });
-        Ok(BuildNode(self.nodes.len() - 1))
+            attrs,
+        }))
     }
 
     /// Adds a wire of the given length (µm).
@@ -140,12 +149,12 @@ impl CircuitBuilder {
             });
         }
         self.register_name(name)?;
-        self.nodes.push(Node {
+        let attrs = NodeAttrs::wire(&self.tech, length);
+        Ok(self.push_node(Node {
             kind: NodeKind::Wire,
             name: name.to_string(),
-            attrs: NodeAttrs::wire(&self.tech, length),
-        });
-        Ok(BuildNode(self.nodes.len() - 1))
+            attrs,
+        }))
     }
 
     /// Overrides the size bounds of a sizable component.
@@ -215,20 +224,18 @@ impl CircuitBuilder {
                 reason: "input drivers cannot have fanin",
             });
         }
-        if !self.edge_set.insert((from.0, to.0)) {
+        if self.edge_set.contains(&(from.0, to.0)) {
             return Err(CircuitError::DuplicateEdge(from_id, to_id));
         }
-        if self.nodes[to.0].kind.is_wire() {
-            let fanin_count = self.edges.iter().filter(|&&(_, t)| t == to.0).count();
-            if fanin_count >= 1 {
-                self.edge_set.remove(&(from.0, to.0));
-                return Err(CircuitError::InvalidConnection {
-                    from: from_id,
-                    to: to_id,
-                    reason: "a wire is driven by exactly one component",
-                });
-            }
+        if self.nodes[to.0].kind.is_wire() && self.driven[to.0] {
+            return Err(CircuitError::InvalidConnection {
+                from: from_id,
+                to: to_id,
+                reason: "a wire is driven by exactly one component",
+            });
         }
+        self.edge_set.insert((from.0, to.0));
+        self.driven[to.0] = true;
         self.edges.push((from.0, to.0));
         Ok(())
     }
@@ -274,6 +281,7 @@ impl CircuitBuilder {
             nodes,
             edges,
             edge_set: _,
+            driven: _,
             names: _,
             output_loads,
         } = self;
@@ -459,6 +467,87 @@ mod tests {
             b.connect(d2, w),
             Err(CircuitError::InvalidConnection { .. })
         ));
+    }
+
+    #[test]
+    fn gates_accept_many_drivers() {
+        let mut b = CircuitBuilder::new(tech());
+        let g = b.add_gate("g", GateKind::Nand).unwrap();
+        for i in 0..3 {
+            let d = b.add_driver(&format!("d{i}"), 100.0).unwrap();
+            let w = b.add_wire(&format!("w{i}"), 10.0).unwrap();
+            b.connect(d, w).unwrap();
+            // The one-driver rule is for wires only: a gate takes every input.
+            b.connect(w, g).unwrap();
+        }
+        b.connect_output(g, 1.0).unwrap();
+        let c = b.build().unwrap();
+        assert_eq!(c.fanin(c.node_by_name("g").unwrap()).len(), 3);
+    }
+
+    #[test]
+    fn each_wire_accepts_exactly_one_driver_of_its_own() {
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let d2 = b.add_driver("d2", 100.0).unwrap();
+        let w_in = b.add_wire("w_in", 10.0).unwrap();
+        let g = b.add_gate("g", GateKind::Buf).unwrap();
+        b.connect(d, w_in).unwrap();
+        b.connect(w_in, g).unwrap();
+        // One gate drives several wires; each takes its first driver.
+        let fanout: Vec<BuildNode> = (0..4)
+            .map(|i| {
+                let w = b.add_wire(&format!("w{i}"), 10.0).unwrap();
+                b.connect(g, w).unwrap();
+                w
+            })
+            .collect();
+        for &w in &fanout {
+            assert!(matches!(
+                b.connect(d2, w),
+                Err(CircuitError::InvalidConnection { .. })
+            ));
+        }
+        // A wire added after the rejections is still undriven.
+        let fresh = b.add_wire("fresh", 10.0).unwrap();
+        b.connect(d2, fresh).unwrap();
+        for &w in fanout.iter().chain([&fresh]) {
+            b.connect_output(w, 1.0).unwrap();
+        }
+        let c = b.build().unwrap();
+        for name in ["w0", "w1", "w2", "w3", "fresh"] {
+            assert_eq!(c.fanin(c.node_by_name(name).unwrap()).len(), 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn rejected_second_driver_leaves_the_builder_unchanged() {
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let d2 = b.add_driver("d2", 100.0).unwrap();
+        let w = b.add_wire("w", 10.0).unwrap();
+        let w2 = b.add_wire("w2", 10.0).unwrap();
+        let g = b.add_gate("g", GateKind::Nand).unwrap();
+        b.connect(d, w).unwrap();
+        // A rejected edge records nothing: retrying it hits the same rule,
+        // not the duplicate-edge check.
+        for _ in 0..2 {
+            assert!(matches!(
+                b.connect(d2, w),
+                Err(CircuitError::InvalidConnection { .. })
+            ));
+        }
+        // Later valid connections, from the rejected driver too, succeed.
+        b.connect(d2, w2).unwrap();
+        b.connect(w, g).unwrap();
+        b.connect(w2, g).unwrap();
+        b.connect_output(g, 1.0).unwrap();
+        let c = b.build().unwrap();
+        let w = c.node_by_name("w").unwrap();
+        let d = c.node_by_name("d").unwrap();
+        assert_eq!(c.fanin(w), &[d]);
+        // source→d, source→d2, d→w, d2→w2, w→g, w2→g, g→sink.
+        assert_eq!(c.num_edges(), 7);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The reusable evaluation engine: pluggable delay models over dense
-//! circuit state, plus a pre-sized scratch workspace.
+//! The reusable evaluation engine: the Elmore model over dense circuit
+//! state, plus a pre-sized scratch workspace.
 //!
 //! The sizing engine evaluates the same per-node quantities (downstream
 //! capacitances, weighted upstream resistances, delays, arrival times)
@@ -11,14 +11,12 @@
 //! the paper's `O(V + E + P)` sweep is dominated by cache misses and the
 //! allocator rather than the arithmetic. This module is the replacement:
 //!
-//! * [`DelayModel`] — the backend trait. A model *prepares* dense immutable
-//!   per-circuit state once ([`DelayModel::prepare`]) and then fills
-//!   caller-provided slices with no allocation. [`ElmoreModel`] is the first
-//!   (and the paper's) backend; future backends (higher-order delay models,
-//!   sharded evaluation) plug in here.
-//! * [`CircuitTopology`] — the Elmore model's prepared state: CSR adjacency
-//!   plus flat per-node RC coefficient arrays, and the cached topological
-//!   **level partition** (see below).
+//! * [`CircuitTopology`] — CSR adjacency plus flat per-node RC coefficient
+//!   arrays, built once per circuit. Its methods are the Elmore model of
+//!   the paper's Section 2.1: each fills caller-provided slices in one
+//!   sequential topological walk, with no allocation. The fused
+//!   Gauss–Seidel sweeps and the sparse incremental updates of the
+//!   adaptive solve schedule live here too.
 //! * [`EvalWorkspace`] — one bundle of dense scratch buffers, sized once per
 //!   circuit and reused for every evaluation.
 //!
@@ -26,58 +24,6 @@
 //! `ElmoreAnalyzer` reference path, so results are bitwise identical
 //! between the two — pinned down by the unit tests below and the
 //! `property_eval_engine` integration test at the workspace root.
-//!
-//! # The level partition invariant
-//!
-//! [`CircuitTopology`] groups the nodes into *topological levels*
-//! (`level(i) = 1 + max level over fanin(i)`, the source at level 0) and
-//! caches the partition at construction. The invariant every level-chunked
-//! traversal relies on:
-//!
-//! * **every edge crosses levels strictly upward** — a node's level is
-//!   strictly greater than each of its fanin nodes' levels, so two nodes in
-//!   the same level share no fanin/fanout edge and never read or write each
-//!   other's per-node state;
-//! * the partition covers every node exactly once, and within a level the
-//!   nodes are stored in ascending raw-index (topological) order.
-//!
-//! A forward traversal that settles levels in ascending order therefore sees
-//! every fanin value finalized before a node is visited, and a backward
-//! traversal in descending level order sees every fanout value finalized —
-//! which is exactly what lets the chunk kernels below
-//! ([`CircuitTopology::downstream_caps_chunk`],
-//! [`CircuitTopology::fused_downstream_chunk`], …) process the nodes of one
-//! level in any sub-chunk order (or concurrently) while producing per-node
-//! results bitwise identical to the sequential whole-circuit traversals:
-//! every per-node accumulation (fanout loads, fanin resistances, fanin
-//! arrival maxima) still runs over that node's own CSR list in list order.
-//!
-//! # The SoA layout invariant
-//!
-//! Every per-node electrical quantity lives in its own dense `Vec<f64>`
-//! slab indexed by raw node index — unit resistance, unit capacitance,
-//! fringing and output load here; charged/presented capacitance, upstream
-//! resistance, arrival, delays and the per-node size mirror in
-//! [`EvalWorkspace`]. No per-node struct interleaves two quantities, so a
-//! kernel that streams one quantity touches contiguous memory, and a
-//! fixed-width block of [`LANES`] consecutive nodes maps to [`LANES`]
-//! consecutive `f64` in every slab it reads.
-//!
-//! This is what the 4-lane kernels ([`CircuitTopology::delays_chunk_lanes`],
-//! [`CircuitTopology::fused_downstream_chunk_lanes`],
-//! [`CircuitTopology::fused_upstream_chunk_lanes`]) build on, and it
-//! composes with the level partition above: a level chunk is a contiguous
-//! run of at most [`MAX_CHUNK_NODES`] entries of `level_nodes`
-//! (`MAX_CHUNK_NODES % LANES == 0`), so lane blocks never straddle a chunk
-//! boundary and the per-chunk disjointness that makes the chunk kernels
-//! race-free makes the lane blocks race-free too. Kernels whose per-node
-//! arithmetic is independent (delays, the Theorem-5 closed form) are laned
-//! directly and stay *bitwise* identical to the sequential oracle — each
-//! lane performs exactly the scalar expression sequence for its node. The
-//! CSR accumulations (fanout loads, fanin resistances, arrival maxima)
-//! stay in list order inside the lane kernels: reassociating those sums
-//! would break the bitwise pin, so vectorization there is limited to the
-//! phase split described on the fused kernels.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -90,256 +36,12 @@ use crate::sizing::SizeVector;
 /// Sentinel for "no predecessor" in dense predecessor arrays.
 pub const NO_PRED: usize = usize::MAX;
 
-/// Lane width of the explicit 4-lane `f64` kernel blocks. Chosen so the
-/// blocks vectorize on any x86-64 (two SSE2 `f64x2` ops) or AArch64 (two
-/// NEON ops) target and still fill one AVX2 register; the kernels are plain
-/// fixed-trip loops over `[f64; LANES]`, so LLVM picks whatever width the
-/// target offers without nightly `std::simd`.
-pub const LANES: usize = 4;
-
-/// Upper bound on the node count of one level chunk handed to the `*_lanes`
-/// kernels — the same 256-node granule the level-parallel chunk grid uses,
-/// re-exported from here so the grid and the kernels cannot drift apart.
-/// A multiple of [`LANES`], so full chunks decompose into whole lane blocks.
-pub const MAX_CHUNK_NODES: usize = 256;
-
-const _: () = assert!(
-    MAX_CHUNK_NODES.is_multiple_of(LANES),
-    "chunk granule must decompose into whole lane blocks"
-);
-
-/// Rounds `n` up to a multiple of [`LANES`] — the length lane-padded slabs
-/// are allocated at, so a lane block reading the slab tail stays in bounds.
-pub const fn lane_padded(n: usize) -> usize {
-    n.div_ceil(LANES) * LANES
-}
-
 /// Sentinel for "not a sizable component" in dense component-index arrays.
 const NOT_SIZABLE: usize = usize::MAX;
 
-/// A delay-model backend: computes per-node electrical quantities into
-/// caller-provided dense slices (indexed by raw node index), reading only
-/// immutable state prepared once per circuit.
-pub trait DelayModel: std::fmt::Debug {
-    /// Dense per-circuit state prepared once and reused by every call.
-    type State: std::fmt::Debug + Clone;
-
-    /// Builds the model's dense state for a circuit.
-    fn prepare(&self, graph: &CircuitGraph) -> Self::State;
-
-    /// Bytes held by a prepared state (for memory accounting). Defaults to
-    /// zero for stateless backends.
-    fn state_memory_bytes(&self, _state: &Self::State) -> usize {
-        0
-    }
-
-    /// Computes `C_i` (`charged`) and the load each node presents to its
-    /// stage parent (`presented`) for every node, by one reverse-topological
-    /// traversal.
-    ///
-    /// `extra_cap`, when provided, holds one value per node and is added on
-    /// the downstream side of that node (the coupling load).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when a slice length does not match the circuit.
-    fn downstream_caps_into(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        extra_cap: Option<&[f64]>,
-        charged: &mut [f64],
-        presented: &mut [f64],
-    );
-
-    /// Computes the λ-weighted upstream resistance `R_i` of Theorem 5 for
-    /// every node into `upstream`. `weights` holds `λ_k` per raw node index.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when a slice length does not match the circuit.
-    fn upstream_resistance_into(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        weights: &[f64],
-        upstream: &mut [f64],
-    );
-
-    /// Computes the per-component delays `D_i` from precomputed charged
-    /// capacitances into `delays` (zero for source and sink).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when a slice length does not match the circuit.
-    fn delays_into(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        charged: &[f64],
-        delays: &mut [f64],
-    );
-
-    /// Propagates arrival times from precomputed per-node delays and
-    /// extracts one critical path, writing only into the provided buffers;
-    /// returns the critical-path delay. The default walks the pointer-rich
-    /// graph ([`propagate_arrivals_into`]); backends with dense adjacency
-    /// override it with a CSR traversal producing bitwise-identical
-    /// results.
-    fn propagate_arrivals(
-        &self,
-        state: &Self::State,
-        graph: &CircuitGraph,
-        delays: &[f64],
-        arrival: &mut [f64],
-        pred: &mut [usize],
-        critical_path: &mut Vec<NodeId>,
-    ) -> f64 {
-        let _ = state;
-        propagate_arrivals_into(graph, delays, arrival, pred, critical_path)
-    }
-
-    /// The dense [`CircuitTopology`] behind this backend's state, when the
-    /// state *is* (or embeds) one. Callers that can drive the level-chunked
-    /// traversal kernels directly — the level-parallel solve schedules —
-    /// check this; backends without a dense topology (the default) simply
-    /// keep the sequential paths.
-    fn dense_topology<'s>(&self, _state: &'s Self::State) -> Option<&'s CircuitTopology> {
-        None
-    }
-
-    /// Whether the backend implements the `*_update` methods below as true
-    /// sparse incremental re-accumulations (as opposed to the default full
-    /// rebuilds). Purely advisory: callers may use it to decide whether an
-    /// adaptive solve schedule will pay off, but correctness never depends
-    /// on it.
-    fn supports_incremental(&self) -> bool {
-        false
-    }
-
-    /// Incrementally brings `charged`/`presented` — currently reflecting
-    /// `prev_sizes` and the pre-delta coupling load — up to date with
-    /// `sizes`, given the dense component indices whose size changed
-    /// (`changed_comps`) and the per-node coupling-load deltas already
-    /// applied to the extra-capacitance table (`extra_delta`, as
-    /// `(raw node index, delta)` pairs).
-    ///
-    /// The default implementation ignores the dirty sets and performs a full
-    /// rebuild from `sizes` and `extra_cap`, which is always correct.
-    /// Backends overriding this must propagate the deltas along every path
-    /// the full rebuild would touch, so the result differs from a rebuild
-    /// only by floating-point accumulation noise.
-    #[allow(clippy::too_many_arguments)]
-    fn downstream_caps_update(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        prev_sizes: &[f64],
-        changed_comps: &[u32],
-        extra_cap: &[f64],
-        extra_delta: &[(u32, f64)],
-        charged: &mut [f64],
-        presented: &mut [f64],
-        inc: &mut IncrementalWorkspace,
-    ) {
-        let _ = (prev_sizes, changed_comps, extra_delta, inc);
-        self.downstream_caps_into(state, sizes, Some(extra_cap), charged, presented);
-    }
-
-    /// Whether [`fused_downstream_resize`](Self::fused_downstream_resize)
-    /// is implemented. Callers check this *before* preparing state for a
-    /// fused sweep so an unsupported backend never sees a half-prepared
-    /// workspace.
-    fn supports_fused(&self) -> bool {
-        false
-    }
-
-    /// Fused downstream-accumulation + resize sweep (Gauss–Seidel): walks
-    /// the circuit once in reverse topological order, computing each node's
-    /// charged capacitance from the *already updated* downstream state, and
-    /// immediately invokes `resize` for every sizable component so parents
-    /// see their children's fresh sizes within the same sweep. The coupling
-    /// load (`extra_cap`) and the upstream-resistance table the caller's
-    /// `resize` closure reads stay fixed for the duration of the sweep
-    /// (Jacobi in those directions).
-    ///
-    /// `resize(comp, node, charged, x)` returns the component's new size
-    /// (returning `x` unchanged leaves it as is — how callers skip frozen
-    /// components). `charged`/`presented` are left consistent with the
-    /// post-sweep sizes.
-    ///
-    /// The fixed points of this iteration are exactly those of the separate
-    /// Jacobi-style passes (both solve the same componentwise equations),
-    /// but the one-directional freshness roughly squares the contraction
-    /// factor per sweep, so solves converge in far fewer sweeps.
-    ///
-    /// Returns `false` (performing no work) when the backend does not
-    /// support fused sweeps; callers then fall back to separate passes.
-    /// Generic over the closure so the per-component resize inlines into
-    /// the traversal.
-    fn fused_downstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
-        &self,
-        state: &Self::State,
-        sizes: &mut SizeVector,
-        extra_cap: &[f64],
-        charged: &mut [f64],
-        presented: &mut [f64],
-        resize: &mut F,
-    ) -> bool {
-        let _ = (state, sizes, extra_cap, charged, presented, resize);
-        false
-    }
-
-    /// Forward counterpart of
-    /// [`fused_downstream_resize`](Self::fused_downstream_resize): walks the
-    /// circuit once in forward topological order, computing each node's
-    /// λ-weighted upstream resistance from the *already updated* upstream
-    /// state, and immediately invokes `resize(comp, node, upstream, x)` for
-    /// every sizable component — so downstream nodes see their parents'
-    /// fresh sizes within the same pass. The charged-capacitance table the
-    /// caller's closure reads stays fixed for the pass (Jacobi in that
-    /// direction); alternating forward and backward fused passes refreshes
-    /// both directions with one traversal each.
-    ///
-    /// Returns `false` (performing no work) when unsupported.
-    fn fused_upstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
-        &self,
-        state: &Self::State,
-        sizes: &mut SizeVector,
-        weights: &[f64],
-        upstream: &mut [f64],
-        resize: &mut F,
-    ) -> bool {
-        let _ = (state, sizes, weights, upstream, resize);
-        false
-    }
-
-    /// Incrementally brings the λ-weighted upstream resistances — currently
-    /// reflecting `prev_sizes` under the same `weights` — up to date with
-    /// `sizes`, given the dense component indices whose size changed.
-    ///
-    /// The default implementation performs a full rebuild, which is always
-    /// correct. The weights must be the same ones the current `upstream`
-    /// table was computed with (they are fixed within an LRS solve).
-    #[allow(clippy::too_many_arguments)]
-    fn upstream_resistance_update(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        prev_sizes: &[f64],
-        changed_comps: &[u32],
-        weights: &[f64],
-        upstream: &mut [f64],
-        inc: &mut IncrementalWorkspace,
-    ) {
-        let _ = (prev_sizes, changed_comps, inc);
-        self.upstream_resistance_into(state, sizes, weights, upstream);
-    }
-}
-
 /// Scratch buffers for the sparse incremental evaluation paths
-/// ([`DelayModel::downstream_caps_update`],
-/// [`DelayModel::upstream_resistance_update`]): pending per-node deltas plus
+/// ([`CircuitTopology::downstream_caps_update`],
+/// [`CircuitTopology::upstream_resistance_update`]): pending per-node deltas plus
 /// the ordered worklists that drive the delta propagation. Sized once per
 /// circuit and reused; between calls every dense buffer is all-zero and
 /// every worklist empty, so a sparse update touches memory proportional to
@@ -394,139 +96,6 @@ impl IncrementalWorkspace {
     }
 }
 
-/// A shared view of a mutable slice for *disjoint-index* concurrent writes.
-///
-/// The level-chunked kernels of [`CircuitTopology`] let several workers
-/// update per-node (or per-component) state of one topological level at
-/// once. Each worker owns a disjoint set of indices, so the writes can never
-/// alias — but safe Rust cannot express "disjoint scattered indices of one
-/// slice", hence this wrapper: a copyable `(pointer, length)` view whose
-/// accessors are `unsafe` and whose soundness contract is exactly the
-/// disjointness the level partition guarantees.
-///
-/// # Safety contract (all accessors)
-///
-/// * `i < len()`;
-/// * no concurrent access (read or write) to index `i` from another
-///   borrower of the same underlying slice — callers partition the index
-///   space (by level and by chunk) so this holds by construction.
-pub struct SharedMut<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<T> Clone for SharedMut<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SharedMut<'_, T> {}
-
-// SAFETY: the wrapper only hands out `unsafe` accessors whose contract
-// forbids aliasing; sending or sharing the view across threads is then no
-// more dangerous than the accessors themselves.
-unsafe impl<T: Send> Send for SharedMut<'_, T> {}
-unsafe impl<T: Send> Sync for SharedMut<'_, T> {}
-
-impl<'a, T> SharedMut<'a, T> {
-    /// Wraps an exclusive slice borrow. The view must not outlive callers'
-    /// partitioning discipline (see the type docs).
-    pub fn new(slice: &'a mut [T]) -> Self {
-        SharedMut {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reads index `i`.
-    ///
-    /// # Safety
-    ///
-    /// See the type-level contract.
-    #[inline(always)]
-    pub unsafe fn get(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i)
-    }
-
-    /// Writes `value` to index `i`.
-    ///
-    /// # Safety
-    ///
-    /// See the type-level contract.
-    #[inline(always)]
-    pub unsafe fn set(&self, i: usize, value: T) {
-        debug_assert!(i < self.len);
-        #[cfg(feature = "race-check")]
-        crate::race::claim_write(self.ptr as usize, i);
-        *self.ptr.add(i) = value;
-    }
-
-    /// Adds `delta` to index `i` (for `f64` accumulators).
-    ///
-    /// # Safety
-    ///
-    /// See the type-level contract.
-    #[inline(always)]
-    pub unsafe fn add(&self, i: usize, delta: T)
-    where
-        T: Copy + std::ops::AddAssign,
-    {
-        debug_assert!(i < self.len);
-        #[cfg(feature = "race-check")]
-        crate::race::claim_write(self.ptr as usize, i);
-        *self.ptr.add(i) += delta;
-    }
-}
-
-/// Streamed fanout-edge dispatch tag (see `CircuitTopology::fanout_tag`):
-/// how a child contributes to its parent's downstream capacitance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum FanoutTag {
-    /// A precomputed constant: the parent's output load for sink children,
-    /// `ĉ · 1.0` for non-sizable gates, `0.0` for drivers/the source.
-    Const,
-    /// A sizable gate child: `ĉ_child · x[comp]`.
-    Gate,
-    /// A wire child: the child's settled `presented` entry.
-    Wire,
-}
-
-/// Streamed fanin-edge dispatch tag (see `CircuitTopology::fanin_tag`):
-/// the resistance form of a predecessor in the upstream accumulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum FaninTag {
-    /// Source/sink predecessor: contributes nothing (skipped, exactly as
-    /// the kind-dispatched loop skips it).
-    Skip,
-    /// Fixed resistance (`R_D` for drivers, `r̂ / 1.0` folded at build time
-    /// for non-sizable gates): `w · r`.
-    Const,
-    /// Sizable gate: `w · (r̂ / x[comp])` (`∞` when `x ≤ 0`).
-    Div,
-    /// Non-sizable wire: `upstream[p] + w · r` with fixed `r`.
-    WireConst,
-    /// Sizable wire: `upstream[p] + w · (r̂ / x[comp])`.
-    WireDiv,
-}
-
 /// Compact per-node role tag used by [`CircuitTopology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -547,9 +116,52 @@ pub enum KindTag {
 /// per-node RC coefficient arrays. Immutable once built; this is the
 /// "dense-indexed state owned by the engine" that the hot loops traverse
 /// instead of the pointer-rich [`CircuitGraph`].
+///
+/// One Elmore evaluation is a reverse pass for the charged capacitances, a
+/// per-node delay product and a forward arrival pass, all into the
+/// reusable buffers of an [`EvalWorkspace`]:
+///
+/// ```rust
+/// use ncgws_circuit::{
+///     CircuitBuilder, CircuitTopology, EvalWorkspace, GateKind, Technology, TimingAnalysis,
+/// };
+///
+/// # fn main() -> Result<(), ncgws_circuit::CircuitError> {
+/// let mut b = CircuitBuilder::new(Technology::dac99());
+/// let d = b.add_driver("d", 100.0)?;
+/// let w1 = b.add_wire("w1", 50.0)?;
+/// let g = b.add_gate("g", GateKind::Inv)?;
+/// let w2 = b.add_wire("w2", 80.0)?;
+/// b.connect(d, w1)?;
+/// b.connect(w1, g)?;
+/// b.connect(g, w2)?;
+/// b.connect_output(w2, 5.0)?;
+/// let circuit = b.build()?;
+///
+/// let topo = CircuitTopology::new(&circuit);
+/// let mut ws = EvalWorkspace::new(&circuit);
+/// let sizes = circuit.uniform_sizes(1.5);
+/// topo.downstream_caps_into(&sizes, None, &mut ws.charged, &mut ws.presented);
+/// topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
+/// let delay = topo.propagate_arrivals(
+///     &ws.delays,
+///     &mut ws.arrival,
+///     &mut ws.pred,
+///     &mut ws.critical_path,
+/// );
+///
+/// // The dense walk reproduces the graph-walking timing analysis bitwise.
+/// let reference = TimingAnalysis::run(&circuit, &sizes, None);
+/// assert_eq!(delay, reference.critical_path_delay);
+/// assert_eq!(ws.critical_path, reference.critical_path);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct CircuitTopology {
     num_components: usize,
+    /// Raw index of the artificial sink.
+    sink: usize,
     kind: Vec<KindTag>,
     /// Dense component index per node ([`NOT_SIZABLE`] for the rest).
     comp_of: Vec<usize>,
@@ -567,33 +179,6 @@ pub struct CircuitTopology {
     fanout_list: Vec<u32>,
     fanin_start: Vec<u32>,
     fanin_list: Vec<u32>,
-    /// Streamed per-fanout-edge child descriptors (parallel to
-    /// `fanout_list`): the chunk kernels dispatch on these columns instead
-    /// of gathering `kind`/`unit_capacitance`/`comp_of` through the child
-    /// index, leaving at most one random access per edge (the child's
-    /// `presented` entry or the component's size). Built once per snapshot;
-    /// per-edge values are exactly the operands of `child_load_unchecked`,
-    /// so the streamed dispatch is bitwise identical to the gathered one.
-    fanout_tag: Vec<FanoutTag>,
-    /// `Const` → the whole contribution; `Gate` → `ĉ` of the child.
-    fanout_coeff: Vec<f64>,
-    /// `Gate` → dense component of the child; `Wire` → child node index.
-    fanout_aux: Vec<u32>,
-    /// Streamed per-fanin-edge predecessor descriptors (parallel to
-    /// `fanin_list`), same idea for the forward kernels: resistance form
-    /// and operands of each predecessor, leaving only the `weights` /
-    /// `upstream` / size gathers.
-    fanin_tag: Vec<FaninTag>,
-    /// `r̂` (or `R_D`) of the predecessor; zero for `Skip`.
-    fanin_ur: Vec<f64>,
-    /// Dense component of the predecessor for the `Div` forms; zero
-    /// otherwise.
-    fanin_aux: Vec<u32>,
-    /// Cached topological level partition (see the module docs): CSR offsets
-    /// into `level_nodes`, one entry per level plus a trailing total.
-    level_start: Vec<u32>,
-    /// Node indices grouped by level, ascending raw index within a level.
-    level_nodes: Vec<u32>,
 }
 
 impl CircuitTopology {
@@ -622,9 +207,9 @@ impl CircuitTopology {
         let mut fringing = Vec::with_capacity(n);
         let mut output_load = Vec::with_capacity(n);
         let mut fanout_start = Vec::with_capacity(n + 1);
-        let mut fanout_list = Vec::new();
+        let mut fanout_list = Vec::with_capacity(graph.num_edges());
         let mut fanin_start = Vec::with_capacity(n + 1);
-        let mut fanin_list = Vec::new();
+        let mut fanin_list = Vec::with_capacity(graph.num_edges());
 
         for id in graph.node_ids() {
             let node = graph.node(id);
@@ -656,99 +241,9 @@ impl CircuitTopology {
         fanout_start.push(fanout_list.len() as u32);
         fanin_start.push(fanin_list.len() as u32);
 
-        // Streamed per-edge descriptor columns (see the field docs): the
-        // exact operands the kind-dispatched loops would gather through the
-        // child/predecessor index, precomputed once per edge. Non-sizable
-        // forms fold their fixed size of 1.0 at build time (`c * 1.0 == c`
-        // and `r / 1.0 == r` bitwise), so every fold is bitwise neutral.
-        let mut fanout_tag = Vec::with_capacity(fanout_list.len());
-        let mut fanout_coeff = Vec::with_capacity(fanout_list.len());
-        let mut fanout_aux = Vec::with_capacity(fanout_list.len());
-        for idx in 0..n {
-            for &child in &fanout_list[fanout_start[idx] as usize..fanout_start[idx + 1] as usize] {
-                let c = child as usize;
-                let (tag, coeff, aux) = match kind[c] {
-                    KindTag::Sink => (FanoutTag::Const, output_load[idx], 0),
-                    KindTag::Gate => {
-                        let comp = comp_of[c];
-                        if comp == NOT_SIZABLE {
-                            (FanoutTag::Const, unit_capacitance[c], 0)
-                        } else {
-                            (FanoutTag::Gate, unit_capacitance[c], comp as u32)
-                        }
-                    }
-                    KindTag::Wire => (FanoutTag::Wire, 0.0, child),
-                    KindTag::Driver | KindTag::Source => (FanoutTag::Const, 0.0, 0),
-                };
-                fanout_tag.push(tag);
-                fanout_coeff.push(coeff);
-                fanout_aux.push(aux);
-            }
-        }
-        let mut fanin_tag = Vec::with_capacity(fanin_list.len());
-        let mut fanin_ur = Vec::with_capacity(fanin_list.len());
-        let mut fanin_aux = Vec::with_capacity(fanin_list.len());
-        for &pred in &fanin_list {
-            let p = pred as usize;
-            let (tag, ur, aux) = match kind[p] {
-                KindTag::Source | KindTag::Sink => (FaninTag::Skip, 0.0, 0),
-                KindTag::Driver => (FaninTag::Const, unit_resistance[p], 0),
-                KindTag::Gate | KindTag::Wire => {
-                    let wire = kind[p] == KindTag::Wire;
-                    let comp = comp_of[p];
-                    if comp == NOT_SIZABLE {
-                        let tag = if wire {
-                            FaninTag::WireConst
-                        } else {
-                            FaninTag::Const
-                        };
-                        (tag, unit_resistance[p], 0)
-                    } else {
-                        let tag = if wire {
-                            FaninTag::WireDiv
-                        } else {
-                            FaninTag::Div
-                        };
-                        (tag, unit_resistance[p], comp as u32)
-                    }
-                }
-            };
-            fanin_tag.push(tag);
-            fanin_ur.push(ur);
-            fanin_aux.push(aux);
-        }
-
-        // Topological level partition: level(i) = 1 + max level over fanin,
-        // the source (and any fanin-free node) at level 0. Nodes are stored
-        // in topological order, so one forward scan settles every level.
-        let mut level = vec![0u32; n];
-        let mut num_levels = 1u32;
-        for idx in 0..n {
-            let mut l = 0u32;
-            for &pred in &fanin_list[fanin_start[idx] as usize..fanin_start[idx + 1] as usize] {
-                l = l.max(level[pred as usize] + 1);
-            }
-            level[idx] = l;
-            num_levels = num_levels.max(l + 1);
-        }
-        // Counting sort into the CSR layout; the forward scan preserves
-        // ascending raw index within each level.
-        let mut level_start = vec![0u32; num_levels as usize + 1];
-        for &l in &level {
-            level_start[l as usize + 1] += 1;
-        }
-        for l in 0..num_levels as usize {
-            level_start[l + 1] += level_start[l];
-        }
-        let mut level_nodes = vec![0u32; n];
-        let mut cursor: Vec<u32> = level_start[..num_levels as usize].to_vec();
-        for (idx, &l) in level.iter().enumerate() {
-            level_nodes[cursor[l as usize] as usize] = idx as u32;
-            cursor[l as usize] += 1;
-        }
-
         CircuitTopology {
             num_components: graph.num_components(),
+            sink: graph.sink().index(),
             kind,
             comp_of,
             node_of_comp,
@@ -760,33 +255,12 @@ impl CircuitTopology {
             fanout_list,
             fanin_start,
             fanin_list,
-            fanout_tag,
-            fanout_coeff,
-            fanout_aux,
-            fanin_tag,
-            fanin_ur,
-            fanin_aux,
-            level_start,
-            level_nodes,
         }
     }
 
     /// Number of nodes in the snapshot.
     pub fn num_nodes(&self) -> usize {
         self.kind.len()
-    }
-
-    /// Number of topological levels in the cached partition.
-    pub fn num_levels(&self) -> usize {
-        self.level_start.len() - 1
-    }
-
-    /// The node indices of level `l`, in ascending raw-index order. Levels
-    /// partition the nodes; nodes within one level share no fanin/fanout
-    /// edge (see the module docs).
-    #[inline(always)]
-    pub fn level(&self, l: usize) -> &[u32] {
-        &self.level_nodes[self.level_start[l] as usize..self.level_start[l + 1] as usize]
     }
 
     /// Dense component index of node `idx`, when the node is sizable.
@@ -859,35 +333,6 @@ impl CircuitTopology {
                 self.unit_capacitance[idx] * self.size_of(idx, sizes) + self.fringing[idx]
             }
             _ => 0.0,
-        }
-    }
-
-    /// Fills the per-node size slab: `out[idx] = sizes[comp_of(idx)]`, `1.0`
-    /// for non-sizable nodes — the gather that turns the component-indexed
-    /// size vector into a node-indexed SoA slab the lane kernels can stream.
-    /// Entries of `out` beyond the node count (lane padding) are left as the
-    /// caller initialized them.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sizes` does not match the component count or `out` is
-    /// shorter than the node count.
-    pub fn fill_node_sizes(&self, sizes: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            sizes.len(),
-            self.num_components,
-            "sizes must match the circuit"
-        );
-        assert!(
-            out.len() >= self.num_nodes(),
-            "node-size slab must have one entry per node"
-        );
-        for (slot, &comp) in out.iter_mut().zip(&self.comp_of) {
-            *slot = if comp == NOT_SIZABLE {
-                1.0
-            } else {
-                sizes[comp]
-            };
         }
     }
 
@@ -983,181 +428,6 @@ impl CircuitTopology {
         self.fanin_list.get_unchecked(start..end)
     }
 
-    /// Fanout edge-index range of node `idx` without bounds checks; edge
-    /// indices address `fanout_list` and the streamed `fanout_*` columns.
-    ///
-    /// # Safety
-    ///
-    /// `idx < num_nodes`; the CSR offsets are valid by construction.
-    #[inline(always)]
-    unsafe fn fanout_edges_unchecked(&self, idx: usize) -> std::ops::Range<usize> {
-        *self.fanout_start.get_unchecked(idx) as usize
-            ..*self.fanout_start.get_unchecked(idx + 1) as usize
-    }
-
-    /// Fanin edge-index range of node `idx` without bounds checks; edge
-    /// indices address `fanin_list` and the streamed `fanin_*` columns.
-    ///
-    /// # Safety
-    ///
-    /// `idx < num_nodes`; the CSR offsets are valid by construction.
-    #[inline(always)]
-    unsafe fn fanin_edges_unchecked(&self, idx: usize) -> std::ops::Range<usize> {
-        *self.fanin_start.get_unchecked(idx) as usize
-            ..*self.fanin_start.get_unchecked(idx + 1) as usize
-    }
-
-    /// `child_load` streamed from the per-edge columns (rebuild variant):
-    /// bitwise identical to `child_load_shared` for fanout edge `e`,
-    /// because the columns hold the exact operands the kind dispatch would
-    /// gather through the child index.
-    ///
-    /// # Safety
-    ///
-    /// `e < fanout_list.len()`; `sizes.len() == num_components`; wire
-    /// children's `presented` entries are settled.
-    #[inline(always)]
-    unsafe fn child_load_edge(
-        &self,
-        e: usize,
-        sizes: &[f64],
-        presented: SharedMut<'_, f64>,
-    ) -> f64 {
-        match *self.fanout_tag.get_unchecked(e) {
-            FanoutTag::Const => *self.fanout_coeff.get_unchecked(e),
-            FanoutTag::Gate => {
-                *self.fanout_coeff.get_unchecked(e)
-                    * *sizes.get_unchecked(*self.fanout_aux.get_unchecked(e) as usize)
-            }
-            FanoutTag::Wire => presented.get(*self.fanout_aux.get_unchecked(e) as usize),
-        }
-    }
-
-    /// As `child_load_edge`, over a shared size view (fused variant,
-    /// bitwise identical to `child_load_fused`).
-    ///
-    /// # Safety
-    ///
-    /// As `child_load_edge`, with `xs` wrapping the per-component sizes.
-    #[inline(always)]
-    unsafe fn child_load_edge_fused(
-        &self,
-        e: usize,
-        xs: SharedMut<'_, f64>,
-        presented: SharedMut<'_, f64>,
-    ) -> f64 {
-        match *self.fanout_tag.get_unchecked(e) {
-            FanoutTag::Const => *self.fanout_coeff.get_unchecked(e),
-            FanoutTag::Gate => {
-                *self.fanout_coeff.get_unchecked(e)
-                    * xs.get(*self.fanout_aux.get_unchecked(e) as usize)
-            }
-            FanoutTag::Wire => presented.get(*self.fanout_aux.get_unchecked(e) as usize),
-        }
-    }
-
-    /// One node's λ-weighted upstream accumulation streamed from the
-    /// per-edge columns: bitwise identical to the kind-dispatched fanin
-    /// loop of [`upstream_resistance_chunk`](Self::upstream_resistance_chunk)
-    /// (same edges, same order, same expressions per resistance form).
-    ///
-    /// # Safety
-    ///
-    /// `idx < num_nodes`; `sizes.len() == num_components`; `weights` has
-    /// one entry per node; lower levels are settled in `upstream`.
-    #[inline(always)]
-    unsafe fn upstream_acc_edges(
-        &self,
-        idx: usize,
-        sizes: &[f64],
-        weights: &[f64],
-        upstream: SharedMut<'_, f64>,
-    ) -> f64 {
-        let mut acc = 0.0;
-        for e in self.fanin_edges_unchecked(idx) {
-            let p = *self.fanin_list.get_unchecked(e) as usize;
-            match *self.fanin_tag.get_unchecked(e) {
-                FaninTag::Skip => {}
-                FaninTag::Const => {
-                    acc += *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
-                }
-                FaninTag::Div => {
-                    let x = *sizes.get_unchecked(*self.fanin_aux.get_unchecked(e) as usize);
-                    let r = if x > 0.0 {
-                        *self.fanin_ur.get_unchecked(e) / x
-                    } else {
-                        f64::INFINITY
-                    };
-                    acc += *weights.get_unchecked(p) * r;
-                }
-                FaninTag::WireConst => {
-                    acc += upstream.get(p)
-                        + *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
-                }
-                FaninTag::WireDiv => {
-                    let x = *sizes.get_unchecked(*self.fanin_aux.get_unchecked(e) as usize);
-                    let r = if x > 0.0 {
-                        *self.fanin_ur.get_unchecked(e) / x
-                    } else {
-                        f64::INFINITY
-                    };
-                    acc += upstream.get(p) + *weights.get_unchecked(p) * r;
-                }
-            }
-        }
-        acc
-    }
-
-    /// As `upstream_acc_edges`, over a shared size view (fused variant,
-    /// bitwise identical to the kind-dispatched loop over
-    /// `resistance_shared`).
-    ///
-    /// # Safety
-    ///
-    /// As `upstream_acc_edges`, with `xs` wrapping the per-component sizes.
-    #[inline(always)]
-    unsafe fn upstream_acc_edges_shared(
-        &self,
-        idx: usize,
-        xs: SharedMut<'_, f64>,
-        weights: &[f64],
-        upstream: SharedMut<'_, f64>,
-    ) -> f64 {
-        let mut acc = 0.0;
-        for e in self.fanin_edges_unchecked(idx) {
-            let p = *self.fanin_list.get_unchecked(e) as usize;
-            match *self.fanin_tag.get_unchecked(e) {
-                FaninTag::Skip => {}
-                FaninTag::Const => {
-                    acc += *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
-                }
-                FaninTag::Div => {
-                    let x = xs.get(*self.fanin_aux.get_unchecked(e) as usize);
-                    let r = if x > 0.0 {
-                        *self.fanin_ur.get_unchecked(e) / x
-                    } else {
-                        f64::INFINITY
-                    };
-                    acc += *weights.get_unchecked(p) * r;
-                }
-                FaninTag::WireConst => {
-                    acc += upstream.get(p)
-                        + *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
-                }
-                FaninTag::WireDiv => {
-                    let x = xs.get(*self.fanin_aux.get_unchecked(e) as usize);
-                    let r = if x > 0.0 {
-                        *self.fanin_ur.get_unchecked(e) / x
-                    } else {
-                        f64::INFINITY
-                    };
-                    acc += upstream.get(p) + *weights.get_unchecked(p) * r;
-                }
-            }
-        }
-        acc
-    }
-
     /// `child_load` over raw slices without bounds checks.
     ///
     /// # Safety
@@ -1195,552 +465,37 @@ impl CircuitTopology {
             + (self.fanout_start.capacity()
                 + self.fanout_list.capacity()
                 + self.fanin_start.capacity()
-                + self.fanin_list.capacity()
-                + self.fanout_aux.capacity()
-                + self.fanin_aux.capacity()
-                + self.level_start.capacity()
-                + self.level_nodes.capacity())
+                + self.fanin_list.capacity())
                 * size_of::<u32>()
-            + self.fanout_tag.capacity() * size_of::<FanoutTag>()
-            + self.fanin_tag.capacity() * size_of::<FaninTag>()
-            + (self.fanout_coeff.capacity() + self.fanin_ur.capacity()) * size_of::<f64>()
             + size_of::<Self>()
     }
 
-    // ------------------------------------------------------------------
-    // Level-chunked traversal kernels. Each processes the nodes of one
-    // chunk of one topological level, with per-node arithmetic identical
-    // (expression for expression) to the sequential whole-circuit methods
-    // above, so a level-ordered sweep over every chunk produces bitwise
-    // identical per-node results regardless of how the chunks of a level
-    // are interleaved or distributed across workers.
-    // ------------------------------------------------------------------
-
-    /// One chunk of a backward (reverse-topological) downstream-capacitance
-    /// rebuild: the `downstream_caps_into` arithmetic for `nodes`, which
-    /// must all belong to one level whose higher levels have been fully
-    /// settled.
+    /// Computes `C_i` (`charged`) and the load each node presents to its
+    /// stage parent (`presented`) for every node, by one reverse-topological
+    /// traversal.
     ///
-    /// # Safety
+    /// `extra_cap`, when provided, holds one value per node and is added on
+    /// the downstream side of that node (the coupling load).
     ///
-    /// * `nodes` is a subset of one topological level of this topology, and
-    ///   all levels above it are settled in `presented`;
-    /// * `charged`/`presented` wrap slices of one entry per node, `extra_cap`
-    ///   has one entry per node, `sizes` one entry per component;
-    /// * no other borrower concurrently accesses the `charged`/`presented`
-    ///   entries of `nodes` (chunks of one level are disjoint by
-    ///   construction).
-    pub unsafe fn downstream_caps_chunk(
+    /// # Panics
+    ///
+    /// Panics when a slice length does not match the circuit.
+    pub fn downstream_caps_into(
         &self,
-        nodes: &[u32],
-        sizes: &[f64],
-        extra_cap: &[f64],
-        charged: SharedMut<'_, f64>,
-        presented: SharedMut<'_, f64>,
-    ) {
-        for &idx in nodes {
-            let idx = idx as usize;
-            let extra = *extra_cap.get_unchecked(idx);
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Source | KindTag::Sink => {
-                    charged.set(idx, 0.0);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Driver => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge(e, sizes, presented);
-                    }
-                    c += extra;
-                    charged.set(idx, c);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Gate => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge(e, sizes, presented);
-                    }
-                    c += extra;
-                    charged.set(idx, c);
-                    presented.set(idx, self.capacitance_unchecked(idx, sizes));
-                }
-                KindTag::Wire => {
-                    let own = self.capacitance_unchecked(idx, sizes);
-                    let mut downstream = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        downstream += self.child_load_edge(e, sizes, presented);
-                    }
-                    charged.set(idx, own / 2.0 + extra + downstream);
-                    presented.set(idx, own + extra + downstream);
-                }
-            }
-        }
-    }
-
-    /// One chunk of a forward upstream-resistance rebuild: the
-    /// `upstream_resistance_into` arithmetic for `nodes`, which must all
-    /// belong to one level whose lower levels have been fully settled.
-    ///
-    /// # Safety
-    ///
-    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk), with
-    /// `upstream` in place of `charged`/`presented` and *lower* levels
-    /// settled.
-    pub unsafe fn upstream_resistance_chunk(
-        &self,
-        nodes: &[u32],
-        sizes: &[f64],
-        weights: &[f64],
-        upstream: SharedMut<'_, f64>,
-    ) {
-        for &idx in nodes {
-            let idx = idx as usize;
-            let acc = self.upstream_acc_edges(idx, sizes, weights, upstream);
-            upstream.set(idx, acc);
-        }
-    }
-
-    /// One chunk of a backward **fused Gauss–Seidel** pass: the
-    /// `fused_downstream_resize` arithmetic for `nodes` (one level, higher
-    /// levels settled), resizing each sizable component through `resize` the
-    /// moment its charged capacitance is known.
-    ///
-    /// # Safety
-    ///
-    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk); in
-    /// addition `xs` wraps the per-component size slice and no other
-    /// borrower concurrently accesses the sizes of the components of
-    /// `nodes` (one node per component, so level-chunk disjointness covers
-    /// this too). The `resize` closure must only touch state owned by the
-    /// chunk.
-    pub unsafe fn fused_downstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
-        &self,
-        nodes: &[u32],
-        xs: SharedMut<'_, f64>,
-        extra_cap: &[f64],
-        charged: SharedMut<'_, f64>,
-        presented: SharedMut<'_, f64>,
-        resize: &mut F,
-    ) {
-        for &idx in nodes {
-            let idx = idx as usize;
-            let extra = *extra_cap.get_unchecked(idx);
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Source | KindTag::Sink => {
-                    charged.set(idx, 0.0);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Driver => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    charged.set(idx, c + extra);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Gate => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    let c = c + extra;
-                    charged.set(idx, c);
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    let x = xs.get(comp);
-                    let x_new = resize(comp, idx, c, x);
-                    if x_new != x {
-                        xs.set(comp, x_new);
-                    }
-                    presented.set(idx, *self.unit_capacitance.get_unchecked(idx) * x_new);
-                }
-                KindTag::Wire => {
-                    let mut downstream = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        downstream += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    let x = xs.get(comp);
-                    let unit_cap = *self.unit_capacitance.get_unchecked(idx);
-                    let fringing = *self.fringing.get_unchecked(idx);
-                    let own = unit_cap * x + fringing;
-                    let c = own / 2.0 + extra + downstream;
-                    let x_new = resize(comp, idx, c, x);
-                    if x_new != x {
-                        xs.set(comp, x_new);
-                        let own_new = unit_cap * x_new + fringing;
-                        charged.set(idx, own_new / 2.0 + extra + downstream);
-                        presented.set(idx, own_new + extra + downstream);
-                    } else {
-                        charged.set(idx, c);
-                        presented.set(idx, own + extra + downstream);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One chunk of a forward **fused Gauss–Seidel** pass: the
-    /// `fused_upstream_resize` arithmetic for `nodes` (one level, lower
-    /// levels settled).
-    ///
-    /// # Safety
-    ///
-    /// As [`upstream_resistance_chunk`](Self::upstream_resistance_chunk),
-    /// plus the `xs` ownership contract of
-    /// [`fused_downstream_chunk`](Self::fused_downstream_chunk).
-    pub unsafe fn fused_upstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
-        &self,
-        nodes: &[u32],
-        xs: SharedMut<'_, f64>,
-        weights: &[f64],
-        upstream: SharedMut<'_, f64>,
-        resize: &mut F,
-    ) {
-        for &idx in nodes {
-            let idx = idx as usize;
-            let acc = self.upstream_acc_edges_shared(idx, xs, weights, upstream);
-            upstream.set(idx, acc);
-            let comp = *self.comp_of.get_unchecked(idx);
-            if comp != NOT_SIZABLE {
-                let x = xs.get(comp);
-                let x_new = resize(comp, idx, acc, x);
-                if x_new != x {
-                    xs.set(comp, x_new);
-                }
-            }
-        }
-    }
-
-    /// Phased variant of
-    /// [`fused_downstream_chunk`](Self::fused_downstream_chunk) that exposes
-    /// the whole chunk's resize candidates to the caller in one batch, so
-    /// the caller can run the Theorem-5 closed form in [`LANES`]-wide
-    /// blocks instead of once per node.
-    ///
-    /// The chunk is processed in three phases:
-    ///
-    /// * **A (accumulate)** — for every node, the charged-capacitance
-    ///   candidate is computed exactly as the per-node kernel does (fanout
-    ///   loads in CSR list order) and stashed in an on-stack slab;
-    /// * **B (batch resize)** — `batch_resize(nodes, values, xs)` is called
-    ///   once; for every node with a sizable component it must read
-    ///   `values[k]` (the candidate of `nodes[k]`) and write the new size
-    ///   through `xs`, leaving non-sizable slots alone;
-    /// * **C (write back)** — charged/presented are written from the
-    ///   post-resize sizes.
-    ///
-    /// Phasing is bitwise-legal because nodes of one level share no edge:
-    /// in the per-node kernel, node `k+1`'s accumulation never reads node
-    /// `k`'s size or presented load (its children live in strictly higher,
-    /// already settled levels), so deferring all resizes behind all
-    /// accumulations reorders no observable read or write. The wire
-    /// write-back recomputes `own` from the post-resize size
-    /// unconditionally; when the size did not change this repeats the exact
-    /// phase-A expressions on identical inputs, so the result is bitwise
-    /// identical to the per-node kernel's "unchanged" branch.
-    ///
-    /// # Safety
-    ///
-    /// As [`fused_downstream_chunk`](Self::fused_downstream_chunk); in
-    /// addition `nodes.len() <= MAX_CHUNK_NODES` (asserted) and
-    /// `batch_resize` must only touch the sizes of the chunk's own
-    /// components.
-    pub unsafe fn fused_downstream_chunk_lanes<F>(
-        &self,
-        nodes: &[u32],
-        xs: SharedMut<'_, f64>,
-        extra_cap: &[f64],
-        charged: SharedMut<'_, f64>,
-        presented: SharedMut<'_, f64>,
-        batch_resize: &mut F,
-    ) where
-        F: FnMut(&[u32], &[f64], SharedMut<'_, f64>),
-    {
-        assert!(
-            nodes.len() <= MAX_CHUNK_NODES,
-            "lane kernels take at most one chunk granule of nodes"
-        );
-        let mut value = [0.0f64; MAX_CHUNK_NODES];
-        let mut downstream_acc = [0.0f64; MAX_CHUNK_NODES];
-        // Phase A: accumulate every candidate over settled higher levels.
-        for (k, &idx) in nodes.iter().enumerate() {
-            let idx = idx as usize;
-            let extra = *extra_cap.get_unchecked(idx);
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Source | KindTag::Sink => {
-                    charged.set(idx, 0.0);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Driver => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    charged.set(idx, c + extra);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Gate => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    let c = c + extra;
-                    charged.set(idx, c);
-                    *value.get_unchecked_mut(k) = c;
-                }
-                KindTag::Wire => {
-                    let mut downstream = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        downstream += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    let x = xs.get(comp);
-                    let own = *self.unit_capacitance.get_unchecked(idx) * x
-                        + *self.fringing.get_unchecked(idx);
-                    *value.get_unchecked_mut(k) = own / 2.0 + extra + downstream;
-                    *downstream_acc.get_unchecked_mut(k) = downstream;
-                }
-            }
-        }
-        // Phase B: one batch resize over the whole chunk.
-        batch_resize(nodes, value.get_unchecked(..nodes.len()), xs);
-        // Phase C: write the post-resize electrical state back.
-        for (k, &idx) in nodes.iter().enumerate() {
-            let idx = idx as usize;
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Gate => {
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    presented.set(
-                        idx,
-                        *self.unit_capacitance.get_unchecked(idx) * xs.get(comp),
-                    );
-                }
-                KindTag::Wire => {
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    let x_new = xs.get(comp);
-                    let own_new = *self.unit_capacitance.get_unchecked(idx) * x_new
-                        + *self.fringing.get_unchecked(idx);
-                    let extra = *extra_cap.get_unchecked(idx);
-                    let downstream = *downstream_acc.get_unchecked(k);
-                    charged.set(idx, own_new / 2.0 + extra + downstream);
-                    presented.set(idx, own_new + extra + downstream);
-                }
-                KindTag::Source | KindTag::Sink | KindTag::Driver => {}
-            }
-        }
-    }
-
-    /// Phased variant of
-    /// [`fused_upstream_chunk`](Self::fused_upstream_chunk): phase A
-    /// accumulates every node's λ-weighted upstream resistance (fanin CSR
-    /// order, settled lower levels) into an on-stack slab and writes it
-    /// through, then `batch_resize(nodes, values, xs)` resizes the whole
-    /// chunk at once. The forward pass writes nothing after the resize, so
-    /// there is no phase C. Bitwise-legal for the same no-intra-level-edge
-    /// reason as [`fused_downstream_chunk_lanes`](Self::fused_downstream_chunk_lanes).
-    ///
-    /// # Safety
-    ///
-    /// As [`fused_upstream_chunk`](Self::fused_upstream_chunk); in addition
-    /// `nodes.len() <= MAX_CHUNK_NODES` (asserted) and `batch_resize` must
-    /// only touch the sizes of the chunk's own components.
-    pub unsafe fn fused_upstream_chunk_lanes<F>(
-        &self,
-        nodes: &[u32],
-        xs: SharedMut<'_, f64>,
-        weights: &[f64],
-        upstream: SharedMut<'_, f64>,
-        batch_resize: &mut F,
-    ) where
-        F: FnMut(&[u32], &[f64], SharedMut<'_, f64>),
-    {
-        assert!(
-            nodes.len() <= MAX_CHUNK_NODES,
-            "lane kernels take at most one chunk granule of nodes"
-        );
-        let mut value = [0.0f64; MAX_CHUNK_NODES];
-        for (k, &idx) in nodes.iter().enumerate() {
-            let idx = idx as usize;
-            let acc = self.upstream_acc_edges_shared(idx, xs, weights, upstream);
-            upstream.set(idx, acc);
-            *value.get_unchecked_mut(k) = acc;
-        }
-        batch_resize(nodes, value.get_unchecked(..nodes.len()), xs);
-    }
-
-    /// One chunk of the per-component delay evaluation (`delays_into` for a
-    /// contiguous node range; delays are per-node independent, so any
-    /// partition works).
-    ///
-    /// # Safety
-    ///
-    /// `range` is within the node count; no other borrower concurrently
-    /// accesses the `delays` entries of `range`; slice lengths match the
-    /// circuit.
-    pub unsafe fn delays_chunk(
-        &self,
-        range: std::ops::Range<usize>,
-        sizes: &[f64],
-        charged: &[f64],
-        delays: SharedMut<'_, f64>,
-    ) {
-        for idx in range {
-            let d = match *self.kind.get_unchecked(idx) {
-                KindTag::Source | KindTag::Sink => 0.0,
-                _ => self.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
-            };
-            delays.set(idx, d);
-        }
-    }
-
-    /// 4-lane variant of [`delays_chunk`](Self::delays_chunk), streaming the
-    /// SoA slabs (`unit_resistance`, the caller's `node_size` mirror,
-    /// `charged`) in [`LANES`]-wide blocks with a scalar tail.
-    ///
-    /// Bitwise identical to `delays_chunk` (and thus to `delays_into`) for
-    /// every node kind, without branching on the kind tag:
-    ///
-    /// * gates/wires: the same `r̂ / x` (or `∞` when `x ≤ 0`) times charged;
-    /// * drivers: `node_size` is `1.0`, and `r̂ / 1.0 == r̂` bitwise;
-    /// * source/sink: their `unit_resistance` is `0.0` and a downstream pass
-    ///   always leaves their `charged` at `0.0`, so the lane computes
-    ///   `(0.0 / 1.0) * 0.0 = +0.0` — the exact value the scalar kernel
-    ///   writes.
-    ///
-    /// # Safety
-    ///
-    /// As [`delays_chunk`](Self::delays_chunk); in addition `node_size` has
-    /// one entry per node (filled by
-    /// [`fill_node_sizes`](Self::fill_node_sizes) from the sizes `charged`
-    /// was computed with) and `charged` holds a downstream-caps result
-    /// (source/sink entries zero).
-    pub unsafe fn delays_chunk_lanes(
-        &self,
-        range: std::ops::Range<usize>,
-        node_size: &[f64],
-        charged: &[f64],
-        delays: SharedMut<'_, f64>,
-    ) {
-        let mut idx = range.start;
-        while idx + LANES <= range.end {
-            let mut d = [0.0f64; LANES];
-            for (j, slot) in d.iter_mut().enumerate() {
-                let i = idx + j;
-                let ur = *self.unit_resistance.get_unchecked(i);
-                let x = *node_size.get_unchecked(i);
-                let r = if x > 0.0 { ur / x } else { f64::INFINITY };
-                *slot = r * *charged.get_unchecked(i);
-            }
-            for (j, &slot) in d.iter().enumerate() {
-                delays.set(idx + j, slot);
-            }
-            idx += LANES;
-        }
-        for i in idx..range.end {
-            let ur = *self.unit_resistance.get_unchecked(i);
-            let x = *node_size.get_unchecked(i);
-            let r = if x > 0.0 { ur / x } else { f64::INFINITY };
-            delays.set(i, r * *charged.get_unchecked(i));
-        }
-    }
-
-    /// One chunk of a forward arrival-time propagation: the
-    /// `propagate_arrivals` recurrence (same fanin order, same `>=`
-    /// tie-breaking) for `nodes`, which must all belong to one level whose
-    /// lower levels have settled arrivals. Critical-path extraction is the
-    /// caller's sequential epilogue over `pred`.
-    ///
-    /// # Safety
-    ///
-    /// As [`upstream_resistance_chunk`](Self::upstream_resistance_chunk),
-    /// with `arrival`/`pred` owned per node.
-    pub unsafe fn arrivals_chunk(
-        &self,
-        nodes: &[u32],
-        delays: &[f64],
-        arrival: SharedMut<'_, f64>,
-        pred: SharedMut<'_, usize>,
-    ) {
-        for &idx in nodes {
-            let idx = idx as usize;
-            pred.set(idx, NO_PRED);
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Source => arrival.set(idx, 0.0),
-                KindTag::Sink => {
-                    let mut best = 0.0;
-                    let mut best_pred = NO_PRED;
-                    for &j in self.fanin_unchecked(idx) {
-                        let j = j as usize;
-                        if arrival.get(j) >= best {
-                            best = arrival.get(j);
-                            best_pred = j;
-                        }
-                    }
-                    arrival.set(idx, best);
-                    pred.set(idx, best_pred);
-                }
-                KindTag::Driver => {
-                    arrival.set(idx, *delays.get_unchecked(idx));
-                }
-                KindTag::Gate | KindTag::Wire => {
-                    let mut best = 0.0;
-                    let mut best_pred = NO_PRED;
-                    for &j in self.fanin_unchecked(idx) {
-                        let j = j as usize;
-                        if matches!(*self.kind.get_unchecked(j), KindTag::Source) {
-                            continue;
-                        }
-                        if arrival.get(j) >= best {
-                            best = arrival.get(j);
-                            best_pred = j;
-                        }
-                    }
-                    arrival.set(idx, best + *delays.get_unchecked(idx));
-                    pred.set(idx, best_pred);
-                }
-            }
-        }
-    }
-}
-
-/// The Elmore delay model of the paper's Section 2.1 (stage-bounded RC
-/// stages, wire π-model), evaluated over a [`CircuitTopology`]. See the
-/// crate-level documentation for the modelling conventions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElmoreModel;
-
-impl DelayModel for ElmoreModel {
-    type State = CircuitTopology;
-
-    fn prepare(&self, graph: &CircuitGraph) -> CircuitTopology {
-        CircuitTopology::new(graph)
-    }
-
-    fn state_memory_bytes(&self, state: &CircuitTopology) -> usize {
-        state.memory_bytes()
-    }
-
-    fn dense_topology<'s>(&self, state: &'s CircuitTopology) -> Option<&'s CircuitTopology> {
-        Some(state)
-    }
-
-    fn downstream_caps_into(
-        &self,
-        topo: &CircuitTopology,
         sizes: &SizeVector,
         extra_cap: Option<&[f64]>,
         charged: &mut [f64],
         presented: &mut [f64],
     ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("charged", charged.len()), ("presented", presented.len())]);
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("charged", charged.len()), ("presented", presented.len())]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         if let Some(extra) = extra_cap {
-            topo.assert_node_slices(&[("extra_cap", extra.len())]);
+            self.assert_node_slices(&[("extra_cap", extra.len())]);
         }
         let sizes = sizes.as_slice();
 
@@ -1749,15 +504,15 @@ impl DelayModel for ElmoreModel {
             // index stored in the topology is in range by construction.
             unsafe {
                 let extra = extra_cap.map(|e| *e.get_unchecked(idx)).unwrap_or(0.0);
-                match *topo.kind.get_unchecked(idx) {
+                match *self.kind.get_unchecked(idx) {
                     KindTag::Source | KindTag::Sink => {
                         *charged.get_unchecked_mut(idx) = 0.0;
                         *presented.get_unchecked_mut(idx) = 0.0;
                     }
                     KindTag::Driver => {
                         let mut c = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
-                            c += topo.child_load_unchecked(idx, child as usize, sizes, presented);
+                        for &child in self.fanout_unchecked(idx) {
+                            c += self.child_load_unchecked(idx, child as usize, sizes, presented);
                         }
                         c += extra;
                         *charged.get_unchecked_mut(idx) = c;
@@ -1765,20 +520,20 @@ impl DelayModel for ElmoreModel {
                     }
                     KindTag::Gate => {
                         let mut c = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
-                            c += topo.child_load_unchecked(idx, child as usize, sizes, presented);
+                        for &child in self.fanout_unchecked(idx) {
+                            c += self.child_load_unchecked(idx, child as usize, sizes, presented);
                         }
                         // Coupling on a gate output (rare, but allowed) loads the stage.
                         c += extra;
                         *charged.get_unchecked_mut(idx) = c;
-                        *presented.get_unchecked_mut(idx) = topo.capacitance_unchecked(idx, sizes);
+                        *presented.get_unchecked_mut(idx) = self.capacitance_unchecked(idx, sizes);
                     }
                     KindTag::Wire => {
-                        let own = topo.capacitance_unchecked(idx, sizes);
+                        let own = self.capacitance_unchecked(idx, sizes);
                         let mut downstream = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
+                        for &child in self.fanout_unchecked(idx) {
                             downstream +=
-                                topo.child_load_unchecked(idx, child as usize, sizes, presented);
+                                self.child_load_unchecked(idx, child as usize, sizes, presented);
                         }
                         // π-model: the far half of the wire's own capacitance plus
                         // all coupling capacitance is charged through r_i.
@@ -1791,18 +546,23 @@ impl DelayModel for ElmoreModel {
         }
     }
 
-    fn upstream_resistance_into(
+    /// Computes the λ-weighted upstream resistance `R_i` of Theorem 5 for
+    /// every node into `upstream`. `weights` holds `λ_k` per raw node index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice length does not match the circuit.
+    pub fn upstream_resistance_into(
         &self,
-        topo: &CircuitTopology,
         sizes: &SizeVector,
         weights: &[f64],
         upstream: &mut [f64],
     ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         let sizes = sizes.as_slice();
@@ -1811,16 +571,16 @@ impl DelayModel for ElmoreModel {
             // index stored in the topology is in range by construction.
             unsafe {
                 let mut acc = 0.0;
-                for &pred in topo.fanin_unchecked(idx) {
+                for &pred in self.fanin_unchecked(idx) {
                     let p = pred as usize;
-                    match *topo.kind.get_unchecked(p) {
+                    match *self.kind.get_unchecked(p) {
                         KindTag::Source => {}
                         KindTag::Driver | KindTag::Gate => {
-                            acc += *weights.get_unchecked(p) * topo.resistance_unchecked(p, sizes);
+                            acc += *weights.get_unchecked(p) * self.resistance_unchecked(p, sizes);
                         }
                         KindTag::Wire => {
                             acc += *upstream.get_unchecked(p)
-                                + *weights.get_unchecked(p) * topo.resistance_unchecked(p, sizes);
+                                + *weights.get_unchecked(p) * self.resistance_unchecked(p, sizes);
                         }
                         KindTag::Sink => unreachable!("sink has no fanout"),
                     }
@@ -1830,55 +590,51 @@ impl DelayModel for ElmoreModel {
         }
     }
 
-    fn delays_into(
-        &self,
-        topo: &CircuitTopology,
-        sizes: &SizeVector,
-        charged: &[f64],
-        delays: &mut [f64],
-    ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("charged", charged.len()), ("delays", delays.len())]);
+    /// Computes the per-component delays `D_i` from precomputed charged
+    /// capacitances into `delays` (zero for source and sink).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice length does not match the circuit.
+    pub fn delays_into(&self, sizes: &SizeVector, charged: &[f64], delays: &mut [f64]) {
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("charged", charged.len()), ("delays", delays.len())]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         let sizes = sizes.as_slice();
         for idx in 0..n {
             // SAFETY: `idx < n`, slice lengths asserted above.
             unsafe {
-                *delays.get_unchecked_mut(idx) = match *topo.kind.get_unchecked(idx) {
+                *delays.get_unchecked_mut(idx) = match *self.kind.get_unchecked(idx) {
                     KindTag::Source | KindTag::Sink => 0.0,
-                    _ => topo.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
+                    _ => self.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
                 };
             }
         }
     }
 
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    fn supports_fused(&self) -> bool {
-        true
-    }
-
-    /// CSR arrival propagation: the same per-kind recurrence as
-    /// [`propagate_arrivals_into`], traversing the dense topology instead
-    /// of the pointer-rich graph — bitwise identical (same node order, same
+    /// Propagates arrival times from precomputed per-node delays and
+    /// extracts one critical path, writing only into the provided buffers;
+    /// returns the critical-path delay. The same per-kind recurrence as
+    /// [`propagate_arrivals_into`], traversing the dense topology instead of
+    /// the pointer-rich graph — bitwise identical (same node order, same
     /// fanin order, same `>=` tie-breaking).
-    fn propagate_arrivals(
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice length does not match the circuit.
+    pub fn propagate_arrivals(
         &self,
-        topo: &CircuitTopology,
-        graph: &CircuitGraph,
         delays: &[f64],
         arrival: &mut [f64],
         pred: &mut [usize],
         critical_path: &mut Vec<NodeId>,
     ) -> f64 {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[
+        let n = self.num_nodes();
+        self.assert_node_slices(&[
             ("delays", delays.len()),
             ("arrival", arrival.len()),
             ("pred", pred.len()),
@@ -1888,12 +644,12 @@ impl DelayModel for ElmoreModel {
             // index stored in the topology is in range by construction.
             unsafe {
                 *pred.get_unchecked_mut(idx) = NO_PRED;
-                match *topo.kind.get_unchecked(idx) {
+                match *self.kind.get_unchecked(idx) {
                     KindTag::Source => *arrival.get_unchecked_mut(idx) = 0.0,
                     KindTag::Sink => {
                         let mut best = 0.0;
                         let mut best_pred = NO_PRED;
-                        for &j in topo.fanin_unchecked(idx) {
+                        for &j in self.fanin_unchecked(idx) {
                             let j = j as usize;
                             if *arrival.get_unchecked(j) >= best {
                                 best = *arrival.get_unchecked(j);
@@ -1909,9 +665,9 @@ impl DelayModel for ElmoreModel {
                     KindTag::Gate | KindTag::Wire => {
                         let mut best = 0.0;
                         let mut best_pred = NO_PRED;
-                        for &j in topo.fanin_unchecked(idx) {
+                        for &j in self.fanin_unchecked(idx) {
                             let j = j as usize;
-                            if matches!(*topo.kind.get_unchecked(j), KindTag::Source) {
+                            if matches!(*self.kind.get_unchecked(j), KindTag::Source) {
                                 continue;
                             }
                             if *arrival.get_unchecked(j) >= best {
@@ -1926,9 +682,9 @@ impl DelayModel for ElmoreModel {
             }
         }
 
-        let critical_path_delay = arrival[graph.sink().index()];
+        let critical_path_delay = arrival[self.sink];
         critical_path.clear();
-        let mut cursor = pred[graph.sink().index()];
+        let mut cursor = pred[self.sink];
         while cursor != NO_PRED {
             critical_path.push(NodeId::new(cursor));
             cursor = pred[cursor];
@@ -1937,14 +693,22 @@ impl DelayModel for ElmoreModel {
         critical_path_delay
     }
 
-    /// Sparse downstream-capacitance update: the capacitance change of every
-    /// resized component and every coupling-load delta is scattered onto its
-    /// node and propagated upstream along the fanin DAG, in reverse
-    /// topological (descending node index) order, touching only the
-    /// perturbed subgraph.
-    fn downstream_caps_update(
+    /// Incrementally brings `charged`/`presented` — currently reflecting
+    /// `prev_sizes` and the pre-delta coupling load — up to date with
+    /// `sizes`, given the dense component indices whose size changed
+    /// (`changed_comps`) and the per-node coupling-load deltas already
+    /// applied to the extra-capacitance table (`extra_delta`, as
+    /// `(raw node index, delta)` pairs).
+    ///
+    /// The capacitance change of every resized component and every
+    /// coupling-load delta is scattered onto its node and propagated
+    /// upstream along the fanin DAG, in reverse topological (descending node
+    /// index) order, touching only the perturbed subgraph. The result
+    /// differs from a full rebuild only by floating-point accumulation
+    /// noise.
+    #[allow(clippy::too_many_arguments)]
+    pub fn downstream_caps_update(
         &self,
-        topo: &CircuitTopology,
         sizes: &SizeVector,
         prev_sizes: &[f64],
         changed_comps: &[u32],
@@ -1954,14 +718,14 @@ impl DelayModel for ElmoreModel {
         presented: &mut [f64],
         inc: &mut IncrementalWorkspace,
     ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[
+        let n = self.num_nodes();
+        self.assert_node_slices(&[
             ("charged", charged.len()),
             ("presented", presented.len()),
             ("extra_cap", extra_cap.len()),
         ]);
-        assert_eq!(sizes.len(), topo.num_components);
-        assert_eq!(prev_sizes.len(), topo.num_components);
+        assert_eq!(sizes.len(), self.num_components);
+        assert_eq!(prev_sizes.len(), self.num_components);
         inc.assert_sized(n);
         let sizes = sizes.as_slice();
 
@@ -1970,8 +734,8 @@ impl DelayModel for ElmoreModel {
         // extra-capacitance table.
         for &comp in changed_comps {
             let comp = comp as usize;
-            let idx = topo.node_of_component(comp);
-            inc.own[idx] += topo.unit_capacitance[idx] * (sizes[comp] - prev_sizes[comp]);
+            let idx = self.node_of_component(comp);
+            inc.own[idx] += self.unit_capacitance[idx] * (sizes[comp] - prev_sizes[comp]);
             if !inc.queued[idx] {
                 inc.queued[idx] = true;
                 inc.down_heap.push(idx as u32);
@@ -2000,7 +764,7 @@ impl DelayModel for ElmoreModel {
             // presents to its stage parents — mirroring the per-kind
             // arithmetic of `downstream_caps_into` (a gate's presented load
             // is its own capacitance, so `dp = own` there).
-            let (dc, dp) = match topo.kind[idx] {
+            let (dc, dp) = match self.kind[idx] {
                 KindTag::Source | KindTag::Sink => (0.0, 0.0),
                 KindTag::Driver => (incoming + extra, 0.0),
                 KindTag::Gate => (incoming + extra, own),
@@ -2009,9 +773,9 @@ impl DelayModel for ElmoreModel {
             charged[idx] += dc;
             presented[idx] += dp;
             if dp != 0.0 {
-                for &parent in topo.fanin(idx) {
+                for &parent in self.fanin(idx) {
                     let p = parent as usize;
-                    if matches!(topo.kind[p], KindTag::Source) {
+                    if matches!(self.kind[p], KindTag::Source) {
                         continue;
                     }
                     inc.pending[p] += dp;
@@ -2024,28 +788,41 @@ impl DelayModel for ElmoreModel {
         }
     }
 
-    /// The Gauss–Seidel fused sweep over the dense topology: one reverse
-    /// pass computing `charged`/`presented` bottom-up from the freshly
-    /// resized downstream state, resizing each sizable component the moment
-    /// its charged capacitance is known.
-    fn fused_downstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
+    /// Fused downstream-accumulation + resize sweep (Gauss–Seidel): walks
+    /// the circuit once in reverse topological order, computing each node's
+    /// charged capacitance from the *already updated* downstream state, and
+    /// immediately invokes `resize` for every sizable component so parents
+    /// see their children's fresh sizes within the same sweep. The coupling
+    /// load (`extra_cap`) and the upstream-resistance table the caller's
+    /// `resize` closure reads stay fixed for the duration of the sweep
+    /// (Jacobi in those directions).
+    ///
+    /// `resize(comp, node, charged, x)` returns the component's new size
+    /// (returning `x` unchanged leaves it as is — how callers skip frozen
+    /// components). `charged`/`presented` are left consistent with the
+    /// post-sweep sizes.
+    ///
+    /// The fixed points of this iteration are exactly those of the separate
+    /// Jacobi-style passes (both solve the same componentwise equations),
+    /// but the one-directional freshness roughly squares the contraction
+    /// factor per sweep, so solves converge in far fewer sweeps.
+    pub fn fused_downstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
         &self,
-        topo: &CircuitTopology,
         sizes: &mut SizeVector,
         extra_cap: &[f64],
         charged: &mut [f64],
         presented: &mut [f64],
         resize: &mut F,
-    ) -> bool {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[
+    ) {
+        let n = self.num_nodes();
+        self.assert_node_slices(&[
             ("extra_cap", extra_cap.len()),
             ("charged", charged.len()),
             ("presented", presented.len()),
         ]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         let xs = sizes.as_mut_slice();
@@ -2054,45 +831,45 @@ impl DelayModel for ElmoreModel {
             // index stored in the topology is in range by construction.
             unsafe {
                 let extra = *extra_cap.get_unchecked(idx);
-                match *topo.kind.get_unchecked(idx) {
+                match *self.kind.get_unchecked(idx) {
                     KindTag::Source | KindTag::Sink => {
                         *charged.get_unchecked_mut(idx) = 0.0;
                         *presented.get_unchecked_mut(idx) = 0.0;
                     }
                     KindTag::Driver => {
                         let mut c = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
-                            c += topo.child_load_unchecked(idx, child as usize, xs, presented);
+                        for &child in self.fanout_unchecked(idx) {
+                            c += self.child_load_unchecked(idx, child as usize, xs, presented);
                         }
                         *charged.get_unchecked_mut(idx) = c + extra;
                         *presented.get_unchecked_mut(idx) = 0.0;
                     }
                     KindTag::Gate => {
                         let mut c = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
-                            c += topo.child_load_unchecked(idx, child as usize, xs, presented);
+                        for &child in self.fanout_unchecked(idx) {
+                            c += self.child_load_unchecked(idx, child as usize, xs, presented);
                         }
                         let c = c + extra;
                         *charged.get_unchecked_mut(idx) = c;
-                        let comp = *topo.comp_of.get_unchecked(idx);
+                        let comp = *self.comp_of.get_unchecked(idx);
                         let x = *xs.get_unchecked(comp);
                         let x_new = resize(comp, idx, c, x);
                         if x_new != x {
                             *xs.get_unchecked_mut(comp) = x_new;
                         }
                         *presented.get_unchecked_mut(idx) =
-                            *topo.unit_capacitance.get_unchecked(idx) * x_new;
+                            *self.unit_capacitance.get_unchecked(idx) * x_new;
                     }
                     KindTag::Wire => {
                         let mut downstream = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
+                        for &child in self.fanout_unchecked(idx) {
                             downstream +=
-                                topo.child_load_unchecked(idx, child as usize, xs, presented);
+                                self.child_load_unchecked(idx, child as usize, xs, presented);
                         }
-                        let comp = *topo.comp_of.get_unchecked(idx);
+                        let comp = *self.comp_of.get_unchecked(idx);
                         let x = *xs.get_unchecked(comp);
-                        let unit_cap = *topo.unit_capacitance.get_unchecked(idx);
-                        let fringing = *topo.fringing.get_unchecked(idx);
+                        let unit_cap = *self.unit_capacitance.get_unchecked(idx);
+                        let fringing = *self.fringing.get_unchecked(idx);
                         let own = unit_cap * x + fringing;
                         // π-model split, exactly as `downstream_caps_into`.
                         let c = own / 2.0 + extra + downstream;
@@ -2110,25 +887,30 @@ impl DelayModel for ElmoreModel {
                 }
             }
         }
-        true
     }
 
-    /// The forward fused pass: upstream resistances accumulate over the
-    /// freshly resized upstream state, each component resized the moment
-    /// its weighted upstream resistance is known.
-    fn fused_upstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
+    /// Forward counterpart of
+    /// [`fused_downstream_resize`](Self::fused_downstream_resize): walks the
+    /// circuit once in forward topological order, computing each node's
+    /// λ-weighted upstream resistance from the *already updated* upstream
+    /// state, and immediately invokes `resize(comp, node, upstream, x)` for
+    /// every sizable component — so downstream nodes see their parents'
+    /// fresh sizes within the same pass. The charged-capacitance table the
+    /// caller's closure reads stays fixed for the pass (Jacobi in that
+    /// direction); alternating forward and backward fused passes refreshes
+    /// both directions with one traversal each.
+    pub fn fused_upstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
         &self,
-        topo: &CircuitTopology,
         sizes: &mut SizeVector,
         weights: &[f64],
         upstream: &mut [f64],
         resize: &mut F,
-    ) -> bool {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
+    ) {
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         let xs = sizes.as_mut_slice();
@@ -2139,21 +921,21 @@ impl DelayModel for ElmoreModel {
                 // Accumulate exactly as `upstream_resistance_into`, but over
                 // the current (partially resized) sizes.
                 let mut acc = 0.0;
-                for &pred in topo.fanin_unchecked(idx) {
+                for &pred in self.fanin_unchecked(idx) {
                     let p = pred as usize;
-                    match *topo.kind.get_unchecked(p) {
+                    match *self.kind.get_unchecked(p) {
                         KindTag::Source | KindTag::Sink => {}
                         KindTag::Driver | KindTag::Gate => {
-                            acc += *weights.get_unchecked(p) * topo.resistance_unchecked(p, xs);
+                            acc += *weights.get_unchecked(p) * self.resistance_unchecked(p, xs);
                         }
                         KindTag::Wire => {
                             acc += *upstream.get_unchecked(p)
-                                + *weights.get_unchecked(p) * topo.resistance_unchecked(p, xs);
+                                + *weights.get_unchecked(p) * self.resistance_unchecked(p, xs);
                         }
                     }
                 }
                 *upstream.get_unchecked_mut(idx) = acc;
-                let comp = *topo.comp_of.get_unchecked(idx);
+                let comp = *self.comp_of.get_unchecked(idx);
                 if comp != NOT_SIZABLE {
                     let x = *xs.get_unchecked(comp);
                     let x_new = resize(comp, idx, acc, x);
@@ -2163,16 +945,17 @@ impl DelayModel for ElmoreModel {
                 }
             }
         }
-        true
     }
 
-    /// Sparse upstream-resistance update: the resistance change of every
-    /// resized component is propagated downstream along the fanout DAG in
-    /// forward topological (ascending node index) order. The weights must be
-    /// the ones the current table was computed with.
-    fn upstream_resistance_update(
+    /// Incrementally brings the λ-weighted upstream resistances — currently
+    /// reflecting `prev_sizes` under the same `weights` — up to date with
+    /// `sizes`, given the dense component indices whose size changed. The
+    /// resistance change of every resized component is propagated
+    /// downstream along the fanout DAG in forward topological (ascending
+    /// node index) order. The weights must be the ones the current table
+    /// was computed with (they are fixed within an LRS solve).
+    pub fn upstream_resistance_update(
         &self,
-        topo: &CircuitTopology,
         sizes: &SizeVector,
         prev_sizes: &[f64],
         changed_comps: &[u32],
@@ -2180,10 +963,10 @@ impl DelayModel for ElmoreModel {
         upstream: &mut [f64],
         inc: &mut IncrementalWorkspace,
     ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
-        assert_eq!(sizes.len(), topo.num_components);
-        assert_eq!(prev_sizes.len(), topo.num_components);
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
+        assert_eq!(sizes.len(), self.num_components);
+        assert_eq!(prev_sizes.len(), self.num_components);
         inc.assert_sized(n);
         let sizes = sizes.as_slice();
 
@@ -2191,14 +974,14 @@ impl DelayModel for ElmoreModel {
         // as the per-node resistance delta in this pass).
         for &comp in changed_comps {
             let comp = comp as usize;
-            let idx = topo.node_of_component(comp);
+            let idx = self.node_of_component(comp);
             let r_new = if sizes[comp] > 0.0 {
-                topo.unit_resistance[idx] / sizes[comp]
+                self.unit_resistance[idx] / sizes[comp]
             } else {
                 f64::INFINITY
             };
             let r_old = if prev_sizes[comp] > 0.0 {
-                topo.unit_resistance[idx] / prev_sizes[comp]
+                self.unit_resistance[idx] / prev_sizes[comp]
             } else {
                 f64::INFINITY
             };
@@ -2220,13 +1003,13 @@ impl DelayModel for ElmoreModel {
             // Change of this node's contribution to each fanout child's
             // upstream sum: its weighted resistance delta, plus (for wires)
             // its own upstream change, mirroring `upstream_resistance_into`.
-            let d_contrib = match topo.kind[idx] {
+            let d_contrib = match self.kind[idx] {
                 KindTag::Source | KindTag::Sink => 0.0,
                 KindTag::Driver | KindTag::Gate => weights[idx] * d_r,
                 KindTag::Wire => weights[idx] * d_r + d_up,
             };
             if d_contrib != 0.0 {
-                for &child in topo.fanout(idx) {
+                for &child in self.fanout(idx) {
                     let c = child as usize;
                     inc.pending[c] += d_contrib;
                     if !inc.queued[c] {
@@ -2244,8 +1027,7 @@ impl DelayModel for ElmoreModel {
 ///
 /// Per-node buffers are indexed by raw node index, per-component buffers by
 /// the graph's dense component index. The workspace is deliberately dumb —
-/// all semantics live in the [`DelayModel`] backends and the solvers that
-/// drive them.
+/// all semantics live in [`CircuitTopology`] and the solvers that drive it.
 #[derive(Debug, Clone)]
 pub struct EvalWorkspace {
     /// `C_i` per node: capacitance charged through the node's resistance.
@@ -2262,15 +1044,6 @@ pub struct EvalWorkspace {
     pub arrival: Vec<f64>,
     /// Node delay weights `λ_i` per node.
     pub node_weights: Vec<f64>,
-    /// Node-indexed mirror of the component sizes (`1.0` for non-sizable
-    /// nodes), filled by [`CircuitTopology::fill_node_sizes`] — the SoA
-    /// gather the 4-lane delay kernel streams instead of indirecting
-    /// through `comp_of` per node. Lane-padded to a multiple of [`LANES`]
-    /// (pad entries stay `1.0`), so a full lane block may read past the
-    /// node count without leaving the slab.
-    pub node_size: Vec<f64>,
-    /// Previous-sweep sizes scratch, per dense component index.
-    pub prev_sizes: Vec<f64>,
     /// Critical-path predecessor per node ([`NO_PRED`] when none).
     pub pred: Vec<usize>,
     /// One critical path (driver → primary-output driver); capacity is
@@ -2290,8 +1063,6 @@ impl EvalWorkspace {
             delays: vec![0.0; n],
             arrival: vec![0.0; n],
             node_weights: vec![0.0; n],
-            node_size: vec![1.0; lane_padded(n)],
-            prev_sizes: vec![0.0; graph.num_components()],
             pred: vec![NO_PRED; n],
             critical_path: Vec::with_capacity(n),
         }
@@ -2306,9 +1077,7 @@ impl EvalWorkspace {
             + self.extra_cap.capacity()
             + self.delays.capacity()
             + self.arrival.capacity()
-            + self.node_weights.capacity()
-            + self.node_size.capacity()
-            + self.prev_sizes.capacity())
+            + self.node_weights.capacity())
             * size_of::<f64>()
             + self.pred.capacity() * size_of::<usize>()
             + self.critical_path.capacity() * size_of::<NodeId>()
@@ -2321,9 +1090,8 @@ impl EvalWorkspace {
 /// critical-path delay.
 ///
 /// This is the allocation-free core of
-/// [`TimingAnalysis::from_delays`](crate::TimingAnalysis::from_delays); it is
-/// shared by both the reference and engine paths (arrival propagation is
-/// model-independent and runs once per outer iteration, not per sweep).
+/// [`TimingAnalysis::from_delays`](crate::TimingAnalysis::from_delays) and
+/// the graph-walking oracle of [`CircuitTopology::propagate_arrivals`].
 ///
 /// # Panics
 ///
@@ -2416,35 +1184,28 @@ mod tests {
     }
 
     #[test]
-    fn model_matches_analyzer_bitwise() {
+    fn topology_matches_analyzer_bitwise() {
         let c = chain();
         let sizes = c.uniform_sizes(1.3);
         let analyzer = ElmoreAnalyzer::new(&c);
         let mut ws = EvalWorkspace::new(&c);
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
+        let topo = CircuitTopology::new(&c);
 
         let mut extra = vec![0.0; c.num_nodes()];
         extra[c.node_by_name("w1").unwrap().index()] = 3.5;
 
         let caps = analyzer.downstream_caps(&sizes, Some(&extra));
-        model.downstream_caps_into(
-            &topo,
-            &sizes,
-            Some(&extra),
-            &mut ws.charged,
-            &mut ws.presented,
-        );
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut ws.charged, &mut ws.presented);
         assert_eq!(caps.charged, ws.charged);
         assert_eq!(caps.presented, ws.presented);
 
         let weights = vec![0.7; c.num_nodes()];
         let upstream = analyzer.weighted_upstream_resistance(&sizes, &weights);
-        model.upstream_resistance_into(&topo, &sizes, &weights, &mut ws.upstream);
+        topo.upstream_resistance_into(&sizes, &weights, &mut ws.upstream);
         assert_eq!(upstream, ws.upstream);
 
         let delays = analyzer.delays(&sizes, Some(&extra));
-        model.delays_into(&topo, &sizes, &ws.charged, &mut ws.delays);
+        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
         assert_eq!(delays, ws.delays);
     }
 
@@ -2455,10 +1216,9 @@ mod tests {
         let reference = TimingAnalysis::run(&c, &sizes, None);
 
         let mut ws = EvalWorkspace::new(&c);
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
-        model.downstream_caps_into(&topo, &sizes, None, &mut ws.charged, &mut ws.presented);
-        model.delays_into(&topo, &sizes, &ws.charged, &mut ws.delays);
+        let topo = CircuitTopology::new(&c);
+        topo.downstream_caps_into(&sizes, None, &mut ws.charged, &mut ws.presented);
+        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
 
         let delay = propagate_arrivals_into(
             &c,
@@ -2470,6 +1230,18 @@ mod tests {
         assert_eq!(delay, reference.critical_path_delay);
         assert_eq!(ws.arrival, reference.arrival.values);
         assert_eq!(ws.critical_path, reference.critical_path);
+
+        // The CSR walk reproduces the graph walk bitwise.
+        let mut dense = EvalWorkspace::new(&c);
+        let csr_delay = topo.propagate_arrivals(
+            &ws.delays,
+            &mut dense.arrival,
+            &mut dense.pred,
+            &mut dense.critical_path,
+        );
+        assert_eq!(csr_delay, delay);
+        assert_eq!(dense.arrival, ws.arrival);
+        assert_eq!(dense.critical_path, ws.critical_path);
     }
 
     #[test]
@@ -2506,9 +1278,7 @@ mod tests {
     #[test]
     fn incremental_updates_match_full_rebuild() {
         let c = chain();
-        let model = ElmoreModel;
-        assert!(model.supports_incremental());
-        let topo = model.prepare(&c);
+        let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
         let mut inc = IncrementalWorkspace::new(n);
 
@@ -2520,10 +1290,10 @@ mod tests {
         // Full state at the previous sizes.
         let mut charged = vec![0.0; n];
         let mut presented = vec![0.0; n];
-        model.downstream_caps_into(&topo, &prev, Some(&extra), &mut charged, &mut presented);
+        topo.downstream_caps_into(&prev, Some(&extra), &mut charged, &mut presented);
         let weights = vec![0.4; n];
         let mut upstream = vec![0.0; n];
-        model.upstream_resistance_into(&topo, &prev, &weights, &mut upstream);
+        topo.upstream_resistance_into(&prev, &weights, &mut upstream);
 
         // Perturb two components and one coupling load.
         let mut sizes = prev.clone();
@@ -2535,8 +1305,7 @@ mod tests {
         let extra_delta = [(w1 as u32, 1.25)];
         extra[w1] += 1.25;
 
-        model.downstream_caps_update(
-            &topo,
+        topo.downstream_caps_update(
             &sizes,
             prev.as_slice(),
             &changed,
@@ -2546,8 +1315,7 @@ mod tests {
             &mut presented,
             &mut inc,
         );
-        model.upstream_resistance_update(
-            &topo,
+        topo.upstream_resistance_update(
             &sizes,
             prev.as_slice(),
             &changed,
@@ -2558,15 +1326,9 @@ mod tests {
 
         let mut full_charged = vec![0.0; n];
         let mut full_presented = vec![0.0; n];
-        model.downstream_caps_into(
-            &topo,
-            &sizes,
-            Some(&extra),
-            &mut full_charged,
-            &mut full_presented,
-        );
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut full_charged, &mut full_presented);
         let mut full_upstream = vec![0.0; n];
-        model.upstream_resistance_into(&topo, &sizes, &weights, &mut full_upstream);
+        topo.upstream_resistance_into(&sizes, &weights, &mut full_upstream);
 
         for i in 0..n {
             assert!(
@@ -2594,8 +1356,7 @@ mod tests {
     #[test]
     fn incremental_noop_update_changes_nothing() {
         let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
+        let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
         let mut inc = IncrementalWorkspace::new(n);
         let sizes = c.uniform_sizes(1.6);
@@ -2603,10 +1364,9 @@ mod tests {
 
         let mut charged = vec![0.0; n];
         let mut presented = vec![0.0; n];
-        model.downstream_caps_into(&topo, &sizes, Some(&extra), &mut charged, &mut presented);
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut charged, &mut presented);
         let before = charged.clone();
-        model.downstream_caps_update(
-            &topo,
+        topo.downstream_caps_update(
             &sizes,
             sizes.as_slice(),
             &[],
@@ -2620,209 +1380,6 @@ mod tests {
     }
 
     #[test]
-    fn level_partition_upholds_its_invariant() {
-        let c = chain();
-        let topo = CircuitTopology::new(&c);
-        // The partition covers every node exactly once...
-        let mut seen = vec![false; c.num_nodes()];
-        let mut level_of = vec![0usize; c.num_nodes()];
-        for l in 0..topo.num_levels() {
-            let nodes = topo.level(l);
-            assert!(!nodes.is_empty(), "levels are non-empty by construction");
-            // ...in ascending raw-index order within each level.
-            assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-            for &idx in nodes {
-                assert!(!seen[idx as usize], "node {idx} appears twice");
-                seen[idx as usize] = true;
-                level_of[idx as usize] = l;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every node has a level");
-        // Every edge crosses levels strictly upward, so nodes of one level
-        // share no fanin/fanout edge.
-        for idx in 0..c.num_nodes() {
-            for &child in topo.fanout(idx) {
-                assert!(
-                    level_of[child as usize] > level_of[idx],
-                    "edge {idx} -> {child} must cross levels strictly upward"
-                );
-            }
-        }
-    }
-
-    /// Drives the chunk kernels over the level partition (chunks of at most
-    /// two nodes) and checks the result is bitwise identical to the
-    /// sequential whole-circuit traversals.
-    #[test]
-    fn chunk_kernels_match_sequential_traversals_bitwise() {
-        let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
-        let n = c.num_nodes();
-        let sizes = c.uniform_sizes(1.7);
-        let mut extra = vec![0.0; n];
-        extra[c.node_by_name("w1").unwrap().index()] = 2.5;
-        let weights = vec![0.6; n];
-
-        // Sequential reference.
-        let mut ws = EvalWorkspace::new(&c);
-        model.downstream_caps_into(
-            &topo,
-            &sizes,
-            Some(&extra),
-            &mut ws.charged,
-            &mut ws.presented,
-        );
-        model.upstream_resistance_into(&topo, &sizes, &weights, &mut ws.upstream);
-        model.delays_into(&topo, &sizes, &ws.charged, &mut ws.delays);
-        let reference_delay = model.propagate_arrivals(
-            &topo,
-            &c,
-            &ws.delays,
-            &mut ws.arrival,
-            &mut ws.pred,
-            &mut ws.critical_path,
-        );
-
-        // Chunked: levels in dependency order, each level in chunks of 2.
-        let mut charged = vec![0.0; n];
-        let mut presented = vec![0.0; n];
-        let mut upstream = vec![0.0; n];
-        let mut delays = vec![0.0; n];
-        let mut arrival = vec![0.0; n];
-        let mut pred = vec![NO_PRED; n];
-        {
-            let charged_s = SharedMut::new(&mut charged);
-            let presented_s = SharedMut::new(&mut presented);
-            for l in (0..topo.num_levels()).rev() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: chunks of one level are disjoint; levels are
-                    // processed in reverse dependency order.
-                    unsafe {
-                        topo.downstream_caps_chunk(
-                            chunk,
-                            sizes.as_slice(),
-                            &extra,
-                            charged_s,
-                            presented_s,
-                        );
-                    }
-                }
-            }
-            let upstream_s = SharedMut::new(&mut upstream);
-            let delays_s = SharedMut::new(&mut delays);
-            let arrival_s = SharedMut::new(&mut arrival);
-            let pred_s = SharedMut::new(&mut pred);
-            for l in 0..topo.num_levels() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: as above, forward dependency order.
-                    unsafe {
-                        topo.upstream_resistance_chunk(
-                            chunk,
-                            sizes.as_slice(),
-                            &weights,
-                            upstream_s,
-                        );
-                    }
-                }
-            }
-            // SAFETY: per-node independent.
-            unsafe { topo.delays_chunk(0..n, sizes.as_slice(), &charged, delays_s) };
-            for l in 0..topo.num_levels() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: forward dependency order.
-                    unsafe { topo.arrivals_chunk(chunk, &delays, arrival_s, pred_s) };
-                }
-            }
-        }
-        assert_eq!(charged, ws.charged);
-        assert_eq!(presented, ws.presented);
-        assert_eq!(upstream, ws.upstream);
-        assert_eq!(delays, ws.delays);
-        assert_eq!(arrival, ws.arrival);
-        assert_eq!(pred, ws.pred);
-        assert_eq!(arrival[c.sink().index()], reference_delay);
-    }
-
-    /// The fused chunk kernels, driven level by level with a greedy resize
-    /// closure, match the sequential fused passes bitwise.
-    #[test]
-    fn fused_chunk_kernels_match_sequential_fused_passes() {
-        let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
-        let n = c.num_nodes();
-        let extra = vec![0.1; n];
-        let weights = vec![0.4; n];
-        let resize = |_comp: usize, _node: usize, value: f64, x: f64| -> f64 {
-            // A deterministic, value-dependent resize exercising the
-            // in-sweep freshness.
-            (x * 0.5 + value.sqrt().min(4.0) * 0.5).clamp(0.2, 8.0)
-        };
-
-        // Sequential fused passes.
-        let mut seq_sizes = c.uniform_sizes(1.0);
-        let mut seq_charged = vec![0.0; n];
-        let mut seq_presented = vec![0.0; n];
-        assert!(model.fused_downstream_resize(
-            &topo,
-            &mut seq_sizes,
-            &extra,
-            &mut seq_charged,
-            &mut seq_presented,
-            &mut { resize },
-        ));
-        let mut seq_upstream = vec![0.0; n];
-        assert!(model.fused_upstream_resize(
-            &topo,
-            &mut seq_sizes,
-            &weights,
-            &mut seq_upstream,
-            &mut { resize },
-        ));
-
-        // Chunked fused passes over the level partition.
-        let mut par_sizes = c.uniform_sizes(1.0);
-        let mut par_charged = vec![0.0; n];
-        let mut par_presented = vec![0.0; n];
-        let mut par_upstream = vec![0.0; n];
-        {
-            let xs = SharedMut::new(par_sizes.as_mut_slice());
-            let charged_s = SharedMut::new(&mut par_charged);
-            let presented_s = SharedMut::new(&mut par_presented);
-            for l in (0..topo.num_levels()).rev() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: chunks of one level are disjoint; reverse
-                    // dependency order.
-                    unsafe {
-                        topo.fused_downstream_chunk(
-                            chunk,
-                            xs,
-                            &extra,
-                            charged_s,
-                            presented_s,
-                            &mut { resize },
-                        );
-                    }
-                }
-            }
-            let upstream_s = SharedMut::new(&mut par_upstream);
-            for l in 0..topo.num_levels() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: forward dependency order.
-                    unsafe {
-                        topo.fused_upstream_chunk(chunk, xs, &weights, upstream_s, &mut { resize });
-                    }
-                }
-            }
-        }
-        assert_eq!(par_sizes, seq_sizes);
-        assert_eq!(par_charged, seq_charged);
-        assert_eq!(par_presented, seq_presented);
-        assert_eq!(par_upstream, seq_upstream);
-    }
-
-    #[test]
     fn topology_maps_components_to_nodes() {
         let c = chain();
         let topo = CircuitTopology::new(&c);
@@ -2832,165 +1389,180 @@ mod tests {
         }
     }
 
+    /// A deterministic, value-dependent resize, so a sweep that read a
+    /// stale neighbour would land on different sizes.
+    fn resize_by_value(_comp: usize, _node: usize, value: f64, x: f64) -> f64 {
+        (x * 0.5 + value.sqrt().min(4.0) * 0.5).clamp(0.2, 8.0)
+    }
+
+    #[test]
+    fn fused_passes_with_an_identity_resize_match_the_separate_traversals() {
+        let c = chain();
+        let topo = CircuitTopology::new(&c);
+        let n = c.num_nodes();
+        let mut extra = vec![0.0; n];
+        extra[c.node_by_name("w2").unwrap().index()] = 1.75;
+        let weights = vec![0.6; n];
+        let reference = c.uniform_sizes(1.4);
+
+        let mut charged = vec![0.0; n];
+        let mut presented = vec![0.0; n];
+        topo.downstream_caps_into(&reference, Some(&extra), &mut charged, &mut presented);
+        let mut upstream = vec![0.0; n];
+        topo.upstream_resistance_into(&reference, &weights, &mut upstream);
+
+        let mut sizes = reference.clone();
+        let mut fused_charged = vec![0.0; n];
+        let mut fused_presented = vec![0.0; n];
+        topo.fused_downstream_resize(
+            &mut sizes,
+            &extra,
+            &mut fused_charged,
+            &mut fused_presented,
+            &mut |_, _, _, x| x,
+        );
+        let mut fused_upstream = vec![0.0; n];
+        topo.fused_upstream_resize(
+            &mut sizes,
+            &weights,
+            &mut fused_upstream,
+            &mut |_, _, _, x| x,
+        );
+
+        assert_eq!(sizes, reference);
+        assert_eq!(fused_charged, charged);
+        assert_eq!(fused_presented, presented);
+        assert_eq!(fused_upstream, upstream);
+    }
+
+    #[test]
+    fn fused_downstream_resize_leaves_the_tables_consistent_with_the_new_sizes() {
+        let c = chain();
+        let topo = CircuitTopology::new(&c);
+        let n = c.num_nodes();
+        let mut extra = vec![0.0; n];
+        extra[c.node_by_name("w1").unwrap().index()] = 0.9;
+        let mut sizes = c.uniform_sizes(1.0);
+        let mut charged = vec![0.0; n];
+        let mut presented = vec![0.0; n];
+        topo.fused_downstream_resize(
+            &mut sizes,
+            &extra,
+            &mut charged,
+            &mut presented,
+            &mut resize_by_value,
+        );
+        assert_ne!(sizes, c.uniform_sizes(1.0), "the resize must move sizes");
+
+        // Children settle before their parents, so one full traversal at the
+        // post-sweep sizes reproduces the sweep's tables bitwise.
+        let mut full_charged = vec![0.0; n];
+        let mut full_presented = vec![0.0; n];
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut full_charged, &mut full_presented);
+        assert_eq!(charged, full_charged);
+        assert_eq!(presented, full_presented);
+    }
+
+    #[test]
+    fn fused_upstream_resize_leaves_the_table_consistent_with_the_new_sizes() {
+        let c = chain();
+        let topo = CircuitTopology::new(&c);
+        let n = c.num_nodes();
+        let weights: Vec<f64> = (0..n).map(|i| 0.2 + 0.1 * i as f64).collect();
+        let mut sizes = c.uniform_sizes(2.0);
+        let mut upstream = vec![0.0; n];
+        topo.fused_upstream_resize(&mut sizes, &weights, &mut upstream, &mut resize_by_value);
+        assert_ne!(sizes, c.uniform_sizes(2.0), "the resize must move sizes");
+
+        // Parents settle before their children, so one full traversal at the
+        // post-pass sizes reproduces the pass's table bitwise.
+        let mut full_upstream = vec![0.0; n];
+        topo.upstream_resistance_into(&sizes, &weights, &mut full_upstream);
+        assert_eq!(upstream, full_upstream);
+    }
+
+    #[test]
+    fn fused_downstream_resize_visits_each_component_once_children_first() {
+        let c = chain();
+        let topo = CircuitTopology::new(&c);
+        let n = c.num_nodes();
+        let extra = vec![0.0; n];
+        let mut sizes = c.uniform_sizes(1.0);
+        let mut charged = vec![0.0; n];
+        let mut presented = vec![0.0; n];
+        let mut visits: Vec<(usize, usize)> = Vec::new();
+        topo.fused_downstream_resize(
+            &mut sizes,
+            &extra,
+            &mut charged,
+            &mut presented,
+            &mut |comp, node, _, x| {
+                visits.push((comp, node));
+                x
+            },
+        );
+
+        let mut comps: Vec<usize> = visits.iter().map(|&(comp, _)| comp).collect();
+        comps.sort_unstable();
+        assert_eq!(comps, (0..c.num_components()).collect::<Vec<_>>());
+        for (pos, &(comp, node)) in visits.iter().enumerate() {
+            assert_eq!(topo.node_of_component(comp), node);
+            // Every sizable fanout child was resized before its parent.
+            for &child in topo.fanout(node) {
+                if topo.component_of(child as usize).is_some() {
+                    let child_pos = visits.iter().position(|&(_, v)| v == child as usize);
+                    assert!(
+                        child_pos.is_some_and(|p| p < pos),
+                        "child {child} of {node}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_upstream_resize_visits_each_component_once_parents_first() {
+        let c = chain();
+        let topo = CircuitTopology::new(&c);
+        let n = c.num_nodes();
+        let weights = vec![0.5; n];
+        let mut sizes = c.uniform_sizes(1.0);
+        let mut upstream = vec![0.0; n];
+        let mut visits: Vec<(usize, usize)> = Vec::new();
+        topo.fused_upstream_resize(
+            &mut sizes,
+            &weights,
+            &mut upstream,
+            &mut |comp, node, _, x| {
+                visits.push((comp, node));
+                x
+            },
+        );
+
+        let mut comps: Vec<usize> = visits.iter().map(|&(comp, _)| comp).collect();
+        comps.sort_unstable();
+        assert_eq!(comps, (0..c.num_components()).collect::<Vec<_>>());
+        for (pos, &(comp, node)) in visits.iter().enumerate() {
+            assert_eq!(topo.node_of_component(comp), node);
+            // Every sizable fanin parent was resized before its child.
+            for &parent in topo.fanin(node) {
+                if topo.component_of(parent as usize).is_some() {
+                    let parent_pos = visits.iter().position(|&(_, v)| v == parent as usize);
+                    assert!(
+                        parent_pos.is_some_and(|p| p < pos),
+                        "parent {parent} of {node}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn workspace_buffers_are_sized_for_the_circuit() {
         let c = chain();
         let ws = EvalWorkspace::new(&c);
         assert_eq!(ws.charged.len(), c.num_nodes());
-        assert_eq!(ws.prev_sizes.len(), c.num_components());
         assert!(ws.critical_path.capacity() >= c.num_nodes());
         assert!(ws.memory_bytes() > 0);
-    }
-
-    /// The lane-padded node-size slab covers every node, rounds up to whole
-    /// lane blocks, keeps `1.0` in the pad, and is charged to the memory
-    /// accounting (mirrors the PR 4 engine accounting test one layer down).
-    #[test]
-    fn lane_padded_node_size_slab_is_sized_and_accounted() {
-        let c = chain();
-        let topo = CircuitTopology::new(&c);
-        let mut ws = EvalWorkspace::new(&c);
-        let n = c.num_nodes();
-        assert_eq!(ws.node_size.len(), lane_padded(n));
-        assert_eq!(ws.node_size.len() % LANES, 0);
-        assert!(ws.node_size.len() >= n && ws.node_size.len() < n + LANES);
-
-        let sizes = c.uniform_sizes(2.5);
-        topo.fill_node_sizes(sizes.as_slice(), &mut ws.node_size);
-        for idx in 0..n {
-            assert_eq!(ws.node_size[idx], topo.size_of(idx, &sizes));
-        }
-        for &pad in &ws.node_size[n..] {
-            assert_eq!(pad, 1.0, "lane padding must stay at the neutral size");
-        }
-
-        // The slab (padding included) is part of the accounted footprint.
-        let mut bare = ws.clone();
-        bare.node_size = Vec::new();
-        assert!(
-            ws.memory_bytes() >= bare.memory_bytes() + lane_padded(n) * std::mem::size_of::<f64>(),
-            "memory accounting must cover the lane-padded slab"
-        );
-    }
-
-    /// The 4-lane delay kernel is bitwise identical to `delays_into` for
-    /// every node kind and for every lane remainder `n % LANES` (the range
-    /// split exercises all tail shapes).
-    #[test]
-    fn lane_delay_kernel_matches_sequential_delays_bitwise() {
-        let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
-        let n = c.num_nodes();
-        let sizes = c.uniform_sizes(1.7);
-        let mut ws = EvalWorkspace::new(&c);
-        model.downstream_caps_into(&topo, &sizes, None, &mut ws.charged, &mut ws.presented);
-        model.delays_into(&topo, &sizes, &ws.charged, &mut ws.delays);
-
-        topo.fill_node_sizes(sizes.as_slice(), &mut ws.node_size);
-        for split in 0..=n {
-            let mut delays = vec![f64::NAN; n];
-            {
-                let delays_s = SharedMut::new(&mut delays);
-                // SAFETY: disjoint ranges, slabs sized for the circuit.
-                unsafe {
-                    topo.delays_chunk_lanes(0..split, &ws.node_size, &ws.charged, delays_s);
-                    topo.delays_chunk_lanes(split..n, &ws.node_size, &ws.charged, delays_s);
-                }
-            }
-            assert_eq!(delays, ws.delays, "split at {split}");
-        }
-    }
-
-    /// The phased (batch-resize) fused kernels match the sequential fused
-    /// passes bitwise, chunk size 2 exercising odd lane remainders.
-    #[test]
-    fn fused_lane_chunk_kernels_match_sequential_fused_passes() {
-        let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
-        let n = c.num_nodes();
-        let extra = vec![0.1; n];
-        let weights = vec![0.4; n];
-        let resize = |_comp: usize, value: f64, x: f64| -> f64 {
-            (x * 0.5 + value.sqrt().min(4.0) * 0.5).clamp(0.2, 8.0)
-        };
-
-        // Sequential fused passes (the oracle).
-        let mut seq_sizes = c.uniform_sizes(1.0);
-        let mut seq_charged = vec![0.0; n];
-        let mut seq_presented = vec![0.0; n];
-        assert!(model.fused_downstream_resize(
-            &topo,
-            &mut seq_sizes,
-            &extra,
-            &mut seq_charged,
-            &mut seq_presented,
-            &mut |comp, _node, value, x| resize(comp, value, x),
-        ));
-        let mut seq_upstream = vec![0.0; n];
-        assert!(model.fused_upstream_resize(
-            &topo,
-            &mut seq_sizes,
-            &weights,
-            &mut seq_upstream,
-            &mut |comp, _node, value, x| resize(comp, value, x),
-        ));
-
-        // Phased lane kernels over the level partition.
-        let mut batch = |nodes: &[u32], values: &[f64], xs: SharedMut<'_, f64>| {
-            for (k, &idx) in nodes.iter().enumerate() {
-                if let Some(comp) = topo.component_of(idx as usize) {
-                    // SAFETY: one node per component, chunk-owned.
-                    unsafe {
-                        let x = xs.get(comp);
-                        let x_new = resize(comp, values[k], x);
-                        if x_new != x {
-                            xs.set(comp, x_new);
-                        }
-                    }
-                }
-            }
-        };
-        let mut lane_sizes = c.uniform_sizes(1.0);
-        let mut lane_charged = vec![0.0; n];
-        let mut lane_presented = vec![0.0; n];
-        let mut lane_upstream = vec![0.0; n];
-        {
-            let xs = SharedMut::new(lane_sizes.as_mut_slice());
-            let charged_s = SharedMut::new(&mut lane_charged);
-            let presented_s = SharedMut::new(&mut lane_presented);
-            for l in (0..topo.num_levels()).rev() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: chunks of one level are disjoint; reverse
-                    // dependency order.
-                    unsafe {
-                        topo.fused_downstream_chunk_lanes(
-                            chunk,
-                            xs,
-                            &extra,
-                            charged_s,
-                            presented_s,
-                            &mut batch,
-                        );
-                    }
-                }
-            }
-            let upstream_s = SharedMut::new(&mut lane_upstream);
-            for l in 0..topo.num_levels() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: forward dependency order.
-                    unsafe {
-                        topo.fused_upstream_chunk_lanes(
-                            chunk, xs, &weights, upstream_s, &mut batch,
-                        );
-                    }
-                }
-            }
-        }
-        assert_eq!(lane_sizes, seq_sizes);
-        assert_eq!(lane_charged, seq_charged);
-        assert_eq!(lane_presented, seq_presented);
-        assert_eq!(lane_upstream, seq_upstream);
     }
 }

@@ -67,8 +67,6 @@ pub mod graph;
 pub mod id;
 pub mod node;
 pub mod power;
-#[cfg(feature = "race-check")]
-pub mod race;
 pub mod sizing;
 pub mod tech;
 pub mod timing;
@@ -80,8 +78,7 @@ pub use area::total_area;
 pub use builder::CircuitBuilder;
 pub use elmore::{DownstreamCaps, ElmoreAnalyzer};
 pub use engine::{
-    lane_padded, propagate_arrivals_into, CircuitTopology, DelayModel, ElmoreModel, EvalWorkspace,
-    IncrementalWorkspace, KindTag, SharedMut, LANES, MAX_CHUNK_NODES, NO_PRED,
+    propagate_arrivals_into, CircuitTopology, EvalWorkspace, IncrementalWorkspace, KindTag, NO_PRED,
 };
 pub use error::CircuitError;
 pub use graph::CircuitGraph;

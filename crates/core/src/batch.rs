@@ -236,6 +236,25 @@ mod tests {
     }
 
     #[test]
+    fn worker_count_does_not_change_batch_results() {
+        let instances = instances();
+        let one = BatchRunner::new(quick_config())
+            .with_threads(1)
+            .run(&instances, &RunControl::new());
+        let three = BatchRunner::new(quick_config())
+            .with_threads(3)
+            .run(&instances, &RunControl::new());
+        assert_eq!(one.len(), three.len());
+        for (a, b) in one.iter().zip(&three) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a.report.name, b.report.name);
+            assert_eq!(a.sizes(), b.sizes(), "{}", a.report.name);
+            assert_eq!(a.report.final_metrics, b.report.final_metrics);
+            assert_eq!(a.report.duality_gap, b.report.duality_gap);
+        }
+    }
+
+    #[test]
     fn pre_cancelled_batch_skips_every_instance_before_stage_one() {
         let instances = instances();
         let flag = CancelFlag::new();

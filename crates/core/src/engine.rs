@@ -1,32 +1,26 @@
-//! The cross-layer sizing engine: circuit + coupling + delay model + scratch.
+//! The cross-layer sizing engine: circuit + coupling + Elmore topology +
+//! scratch.
 //!
-//! [`SizingEngine`] binds a circuit graph, its coupling set, a
-//! [`DelayModel`] backend and an [`EvalWorkspace`] together, and adds the
+//! [`SizingEngine`] binds a circuit graph, its coupling set, the dense
+//! [`CircuitTopology`] and an [`EvalWorkspace`] together, and adds the
 //! dense per-component attribute tables the LRS closed-form resize reads in
 //! its innermost loop. Built once per [`SizingProblem`] (or circuit), it
 //! makes every evaluation the optimizer performs — coupling loads,
 //! downstream capacitances, weighted upstream resistances, timing, metrics,
-//! LRS sweeps — allocation-free after setup.
+//! LRS sweeps — allocation-free after setup. Every pass is one sequential
+//! walk on the calling thread.
 //!
 //! The arithmetic is performed in exactly the same order as the
 //! allocate-per-call reference path ([`crate::reference`],
 //! [`CircuitMetrics::evaluate`]), so the two produce bitwise identical
 //! results; the `property_eval_engine` integration test enforces this.
-//!
-//! Future delay-model backends (higher-order models, sharded evaluation)
-//! implement [`DelayModel`] and plug in through
-//! [`SizingEngine::with_model`].
 
-use ncgws_circuit::{
-    CircuitGraph, CircuitTopology, DelayModel, ElmoreModel, EvalWorkspace, NodeId, SharedMut,
-    SizeVector, LANES, NO_PRED,
-};
+use ncgws_circuit::{CircuitGraph, CircuitTopology, EvalWorkspace, NodeId, SizeVector};
 use ncgws_coupling::CouplingSet;
 
 use crate::constraints::ConstraintSet;
 use crate::lagrangian::Multipliers;
 use crate::metrics::CircuitMetrics;
-use crate::par::{self, LevelGrid, ParRuntime, ParallelPolicy};
 use crate::problem::SizingProblem;
 use crate::schedule::{AdaptiveSchedule, ScheduleWorkspace};
 use crate::units;
@@ -48,11 +42,10 @@ pub struct TimingView<'a> {
 
 /// The reusable evaluation engine threaded through the whole two-stage flow.
 #[derive(Debug, Clone)]
-pub struct SizingEngine<'a, M: DelayModel = ElmoreModel> {
+pub struct SizingEngine<'a> {
     graph: &'a CircuitGraph,
     coupling: &'a CouplingSet,
-    model: M,
-    state: M::State,
+    topo: CircuitTopology,
     pub(crate) ws: EvalWorkspace,
     // Dense per-component tables (indexed by the graph's dense component
     // index). The hot loop reads these instead of chasing `Node` structs,
@@ -60,11 +53,6 @@ pub struct SizingEngine<'a, M: DelayModel = ElmoreModel> {
     // lines.
     pub(crate) comp_raw_index: Vec<usize>,
     pub(crate) comp_is_wire: Vec<bool>,
-    /// `comp_is_wire` as a `{0.0, 1.0}` f64 mask, so the lane-blocked
-    /// closed form can apply the wire-only numerator terms branch-free
-    /// (`t - 0.0 == t` and `1.0 · t == t` bitwise) while streaming the SoA
-    /// attribute columns.
-    wire_mask: Vec<f64>,
     pub(crate) unit_resistance: Vec<f64>,
     pub(crate) unit_capacitance: Vec<f64>,
     pub(crate) area_coefficient: Vec<f64>,
@@ -93,79 +81,12 @@ pub struct SizingEngine<'a, M: DelayModel = ElmoreModel> {
     /// Mutable state of the adaptive solve schedule (active/frozen
     /// partition, dirty sets, incremental-evaluation scratch).
     pub(crate) sched: ScheduleWorkspace,
-    /// The parallel runtime ([`crate::par`]): policy, worker pool and
-    /// work-queue heads. Sequential until [`set_parallel`](Self::set_parallel)
-    /// selects the level grid.
-    pub(crate) par: ParRuntime,
-    /// The deterministic chunk grid over the backend's level partition
-    /// (empty when the backend exposes no dense topology).
-    grid: LevelGrid,
-    /// Coupling-pair indices grouped by *channel shard* (connected
-    /// components of the pair graph), global pair order within each shard —
-    /// so concurrent shards never write the same per-node accumulator and
-    /// every node's adds happen in global pair order (bitwise identical to
-    /// the sequential scatter).
-    scatter_pairs: Vec<u32>,
-    /// CSR offsets into `scatter_pairs`, one per shard plus a trailing total.
-    scatter_shard_start: Vec<u32>,
-    /// Chunk grid over the shards: chunk `c` covers shards
-    /// `scatter_chunk_start[c]..scatter_chunk_start[c + 1]`, grouped to a
-    /// fixed pair budget (thread-count independent).
-    scatter_chunk_start: Vec<u32>,
-    /// Per-chunk reduction slots of the parallel sweeps, merged in fixed
-    /// chunk order after every pass.
-    pscratch: ParScratch,
-    /// Enables the lane-blocked (reassociated) aggregate reductions of
-    /// [`total_capacitance`](Self::total_capacitance) /
-    /// [`total_area`](Self::total_area) /
-    /// [`crosstalk_lhs`](Self::crosstalk_lhs) while a `Level` policy is
-    /// active. Off by default so the exact strategy stays bitwise-pinned
-    /// to `crate::reference` under every policy.
-    lane_aggregates: bool,
-}
-
-/// Per-chunk reduction slots for the parallel sweeps (sized once per
-/// engine). Each chunk writes only its own slots / scratch segment during a
-/// pass; the caller merges them in fixed chunk order afterwards, which is
-/// what makes the reductions independent of the thread count.
-#[derive(Debug, Clone, Default)]
-struct ParScratch {
-    /// Worst relative size change seen by each chunk.
-    chunk_worst: Vec<f64>,
-    /// Components touched (resized) by each chunk.
-    chunk_touched: Vec<u32>,
-    /// Number of entries each chunk wrote into its `chunk_changed` segment.
-    chunk_changed_len: Vec<u32>,
-    /// Changed-component records, one disjoint segment per chunk (indexed
-    /// by the chunk's level-ordered node-position base).
-    chunk_changed: Vec<u32>,
-}
-
-impl ParScratch {
-    fn new(total_chunks: usize, num_nodes: usize) -> Self {
-        ParScratch {
-            chunk_worst: vec![0.0; total_chunks],
-            chunk_touched: vec![0; total_chunks],
-            chunk_changed_len: vec![0; total_chunks],
-            chunk_changed: vec![0; num_nodes],
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.chunk_worst.capacity() * size_of::<f64>()
-            + (self.chunk_touched.capacity()
-                + self.chunk_changed_len.capacity()
-                + self.chunk_changed.capacity())
-                * size_of::<u32>()
-    }
 }
 
 /// Per-sweep immutable view of the Theorem-5 closed-form resize inputs,
 /// shared by the fused-pass closures (indexed by dense component).
 struct ResizeTables<'a> {
     is_wire: &'a [bool],
-    wire_mask: &'a [f64],
     unit_resistance: &'a [f64],
     unit_capacitance: &'a [f64],
     area_coefficient: &'a [f64],
@@ -212,238 +133,12 @@ impl ResizeTables<'_> {
         let rel = (x_new - x_i).abs() / x_i.abs().max(1e-12);
         (x_new, rel)
     }
-
-    /// The closed-form resize of [`LANES`] components as one lane block —
-    /// per-lane bitwise identical to [`closed_form`](Self::closed_form).
-    /// The wire-only numerator terms are applied through the `{0.0, 1.0}`
-    /// `wire_mask` (`t - 0.0 == t` and `1.0 · t == t` bitwise, so the
-    /// masked expression reproduces both the wire and the gate branch
-    /// exactly), and every other expression keeps the scalar association.
-    /// The scalar gathers feed fixed-trip `[f64; LANES]` loops that LLVM
-    /// autovectorizes; callers with fewer than [`LANES`] live lanes pass
-    /// any in-range component index in the unused slots and ignore those
-    /// results.
-    #[inline(always)]
-    fn closed_form_lanes(
-        &self,
-        comps: &[usize; LANES],
-        x: &[f64; LANES],
-        charged: &[f64; LANES],
-        upstream: &[f64; LANES],
-        lambda: &[f64; LANES],
-    ) -> ([f64; LANES], [f64; LANES]) {
-        let mut wm = [0.0f64; LANES];
-        let mut ur = [0.0f64; LANES];
-        let mut uc = [0.0f64; LANES];
-        let mut ar = [0.0f64; LANES];
-        let mut lo = [0.0f64; LANES];
-        let mut hi = [0.0f64; LANES];
-        let mut cs = [0.0f64; LANES];
-        let mut exd = [0.0f64; LANES];
-        for j in 0..LANES {
-            let comp = comps[j];
-            wm[j] = self.wire_mask[comp];
-            ur[j] = self.unit_resistance[comp];
-            uc[j] = self.unit_capacitance[comp];
-            ar[j] = self.area_coefficient[comp];
-            lo[j] = self.lower_bound[comp];
-            hi[j] = self.upper_bound[comp];
-            cs[j] = self.coupling_sum[comp];
-            exd[j] = self.extra_denom[comp];
-        }
-        let mut x_new = [0.0f64; LANES];
-        let mut rel = [0.0f64; LANES];
-        for j in 0..LANES {
-            let m = wm[j];
-            let cap_num = (charged[j] - m * (uc[j] * x[j] / 2.0)) - m * (cs[j] * x[j]);
-            let cap_num = if cap_num < 0.0 { 0.0 } else { cap_num };
-            let denominator =
-                ar[j] + (self.beta + upstream[j]) * uc[j] + self.gamma * cs[j] + exd[j];
-            let numerator = lambda[j] * ur[j] * cap_num;
-            let opt = if denominator > 0.0 && numerator > 0.0 {
-                (numerator / denominator).sqrt()
-            } else {
-                0.0
-            };
-            x_new[j] = opt.clamp(lo[j], hi[j]);
-            rel[j] = (x_new[j] - x[j]).abs() / x[j].abs().max(1e-12);
-        }
-        (x_new, rel)
-    }
-}
-
-/// Chunk-shared context of one level-parallel fused resize pass: the
-/// Theorem-5 tables, the freeze schedule and the shared per-component
-/// views. [`apply_batch`](Self::apply_batch) is the single place the
-/// parallel passes' per-component semantics live — both traversal
-/// directions feed it their fresh quantity and the pass-fixed complement,
-/// and the calm/freeze rule delegates to
-/// [`ScheduleWorkspace::note_resize_shared`], the canonical home it shares
-/// with the sequential schedule.
-struct FusedChunkCtx<'a> {
-    tables: ResizeTables<'a>,
-    schedule: &'a AdaptiveSchedule,
-    resize_all: bool,
-    calm: SharedMut<'a, u32>,
-    frozen: SharedMut<'a, bool>,
-    /// Changed-component scratch; each chunk writes only its own disjoint
-    /// segment (based at its level-ordered node position).
-    chunk_changed: SharedMut<'a, u32>,
-}
-
-/// Per-chunk running reductions of one fused pass, merged in fixed chunk
-/// order by the caller.
-#[derive(Default)]
-struct ChunkStats {
-    worst: f64,
-    touched: u32,
-    changed: u32,
-}
-
-impl FusedChunkCtx<'_> {
-    /// The chunk-side resize entry point of the phased lane kernels
-    /// (frozen-skip, closed form, calm/freeze bookkeeping and the chunk's
-    /// dirty-frontier records): compacts the chunk's sizable, non-frozen components into
-    /// [`LANES`]-wide blocks, runs [`ResizeTables::closed_form_lanes`] per
-    /// block and performs the per-component bookkeeping in chunk node
-    /// order — so `touched` / `worst` / the dirty-frontier records (and
-    /// every calm/freeze transition) are exactly those of the per-node
-    /// path. `values[k]` is the freshly traversed quantity of `nodes[k]`
-    /// (charged when `value_is_charged`, upstream otherwise); `fixed` and
-    /// `lambda` are the pass-fixed node-indexed complements.
-    ///
-    /// # Safety
-    ///
-    /// Every sizable component of `nodes` belongs to the calling chunk (no
-    /// other chunk touches its `calm`/`frozen` entries or its size) and
-    /// `seg` is the chunk's disjoint scratch segment; `values` has one
-    /// entry per node and `fixed` / `lambda` one entry per circuit node.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn apply_batch(
-        &self,
-        topo: &CircuitTopology,
-        nodes: &[u32],
-        values: &[f64],
-        value_is_charged: bool,
-        fixed: &[f64],
-        lambda: &[f64],
-        xs: SharedMut<'_, f64>,
-        seg: usize,
-        stats: &mut ChunkStats,
-    ) {
-        let mut lc = [0usize; LANES];
-        let mut lx = [0.0f64; LANES];
-        let mut lv = [0.0f64; LANES];
-        let mut lf = [0.0f64; LANES];
-        let mut ll = [0.0f64; LANES];
-        let mut fill = 0usize;
-        for (k, &idx) in nodes.iter().enumerate() {
-            let idx = idx as usize;
-            let Some(comp) = topo.component_of(idx) else {
-                continue;
-            };
-            if !self.resize_all && self.frozen.get(comp) {
-                continue;
-            }
-            lc[fill] = comp;
-            lx[fill] = xs.get(comp);
-            lv[fill] = *values.get_unchecked(k);
-            lf[fill] = *fixed.get_unchecked(idx);
-            ll[fill] = *lambda.get_unchecked(idx);
-            fill += 1;
-            if fill == LANES {
-                self.flush_lanes(
-                    &lc,
-                    &lx,
-                    &lv,
-                    value_is_charged,
-                    &lf,
-                    &ll,
-                    LANES,
-                    xs,
-                    seg,
-                    stats,
-                );
-                fill = 0;
-            }
-        }
-        if fill > 0 {
-            self.flush_lanes(
-                &lc,
-                &lx,
-                &lv,
-                value_is_charged,
-                &lf,
-                &ll,
-                fill,
-                xs,
-                seg,
-                stats,
-            );
-        }
-    }
-
-    /// Runs one (possibly partial) lane block and the in-order bookkeeping
-    /// of its `fill` live lanes. Stale trailing lanes hold the previous
-    /// block's (valid, in-range) component indices; their results are
-    /// computed and discarded.
-    ///
-    /// # Safety
-    ///
-    /// Every entry of `comps` — live lanes *and* stale trailing lanes —
-    /// must be a valid component index for `xs`, `self.calm` and
-    /// `self.frozen`, and the components written through `xs` must belong
-    /// exclusively to this chunk for the duration of the pass (the
-    /// level-partition invariant), since `xs.set` is an unsynchronized
-    /// write into the shared sizes slice.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn flush_lanes(
-        &self,
-        comps: &[usize; LANES],
-        x: &[f64; LANES],
-        value: &[f64; LANES],
-        value_is_charged: bool,
-        fixed: &[f64; LANES],
-        lambda: &[f64; LANES],
-        fill: usize,
-        xs: SharedMut<'_, f64>,
-        seg: usize,
-        stats: &mut ChunkStats,
-    ) {
-        let (x_new, rel) = if value_is_charged {
-            self.tables
-                .closed_form_lanes(comps, x, value, fixed, lambda)
-        } else {
-            self.tables
-                .closed_form_lanes(comps, x, fixed, value, lambda)
-        };
-        for j in 0..fill {
-            let comp = comps[j];
-            stats.touched += 1;
-            stats.worst = stats.worst.max(rel[j]);
-            ScheduleWorkspace::note_resize_shared(
-                self.calm,
-                self.frozen,
-                comp,
-                rel[j],
-                self.schedule,
-            );
-            if x_new[j] != x[j] {
-                xs.set(comp, x_new[j]);
-                self.chunk_changed
-                    .set(seg + stats.changed as usize, comp as u32);
-                stats.changed += 1;
-            }
-        }
-    }
 }
 
 /// The dense coupling-pair table in structure-of-arrays form (see
 /// `SizingEngine::pair_table`): seven parallel columns indexed by the
-/// pair's global order. The per-sweep scatter and the crosstalk
-/// aggregation read one column at a time, so a [`LANES`]-wide block
-/// streams four contiguous entries per column instead of striding over
-/// interleaved 56-byte records.
+/// pair's global order, so the per-sweep scatter and the crosstalk
+/// aggregation stream each column contiguously.
 #[derive(Debug, Clone, Default)]
 struct PairTable {
     a_raw: Vec<u32>,
@@ -520,21 +215,9 @@ impl PairTable {
     }
 }
 
-impl<'a> SizingEngine<'a, ElmoreModel> {
-    /// Creates an engine with the Elmore backend.
+impl<'a> SizingEngine<'a> {
+    /// Creates an engine for a circuit and its coupling set.
     pub fn new(graph: &'a CircuitGraph, coupling: &'a CouplingSet) -> Self {
-        SizingEngine::with_model(graph, coupling, ElmoreModel)
-    }
-
-    /// Creates an engine for an assembled sizing problem.
-    pub fn for_problem(problem: &SizingProblem<'a>) -> Self {
-        SizingEngine::new(problem.graph, problem.coupling)
-    }
-}
-
-impl<'a, M: DelayModel> SizingEngine<'a, M> {
-    /// Creates an engine with a custom delay-model backend.
-    pub fn with_model(graph: &'a CircuitGraph, coupling: &'a CouplingSet, model: M) -> Self {
         // The dense pair table stores 32-bit indices.
         assert!(
             graph.num_nodes() <= u32::MAX as usize,
@@ -543,7 +226,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         let n = graph.num_components();
         let mut comp_raw_index = Vec::with_capacity(n);
         let mut comp_is_wire = Vec::with_capacity(n);
-        let mut wire_mask = Vec::with_capacity(n);
         let mut unit_resistance = Vec::with_capacity(n);
         let mut unit_capacitance = Vec::with_capacity(n);
         let mut area_coefficient = Vec::with_capacity(n);
@@ -551,7 +233,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         let mut upper_bound = Vec::with_capacity(n);
         let mut coupling_sum = Vec::with_capacity(n);
         let mut fringing = Vec::with_capacity(n);
-        let state = model.prepare(graph);
         let sums = coupling.linear_coefficient_sums();
         let mut pair_table = PairTable::with_capacity(coupling.pairs().len());
         for pair in coupling.pairs() {
@@ -573,7 +254,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             let node = graph.node(id);
             comp_raw_index.push(id.index());
             comp_is_wire.push(node.kind.is_wire());
-            wire_mask.push(if node.kind.is_wire() { 1.0 } else { 0.0 });
             unit_resistance.push(node.attrs.unit_resistance);
             unit_capacitance.push(node.attrs.unit_capacitance);
             area_coefficient.push(node.attrs.area_coefficient);
@@ -587,23 +267,13 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             });
         }
         let (comp_pair_start, comp_pair_list) = Self::build_pair_adjacency(n, &pair_table);
-        let grid = match model.dense_topology(&state) {
-            Some(topo) => LevelGrid::new((0..topo.num_levels()).map(|l| topo.level(l).len())),
-            None => LevelGrid::default(),
-        };
-        let (scatter_pairs, scatter_shard_start, scatter_chunk_start) =
-            Self::build_scatter_shards(graph.num_nodes(), &pair_table);
-        let total_chunks = grid.total_chunks().max(par::flat_chunks(graph.num_nodes()));
-        let pscratch = ParScratch::new(total_chunks, graph.num_nodes());
         SizingEngine {
             graph,
             coupling,
-            model,
-            state,
+            topo: CircuitTopology::new(graph),
             ws: EvalWorkspace::new(graph),
             comp_raw_index,
             comp_is_wire,
-            wire_mask,
             unit_resistance,
             unit_capacitance,
             area_coefficient,
@@ -616,130 +286,12 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             comp_pair_start,
             comp_pair_list,
             sched: ScheduleWorkspace::new(graph.num_nodes(), n),
-            par: ParRuntime::new(),
-            grid,
-            scatter_pairs,
-            scatter_shard_start,
-            scatter_chunk_start,
-            pscratch,
-            lane_aggregates: false,
         }
     }
 
-    /// Groups the coupling pairs into *channel shards*: the connected
-    /// components of the pair graph (wires of one routing channel couple
-    /// only to each other, so each channel lands in its own shard). Within a
-    /// shard the pairs keep their global order, so every node's accumulation
-    /// sequence under a sharded scatter is exactly its subsequence of the
-    /// sequential scatter — bitwise identical sums. Shards are then grouped
-    /// into chunks of a fixed pair budget for the flat runner.
-    fn build_scatter_shards(num_nodes: usize, pairs: &PairTable) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        if pairs.len() == 0 {
-            return (Vec::new(), vec![0], vec![0]);
-        }
-        // Union-find over raw node indices (path halving).
-        let mut parent: Vec<u32> = (0..num_nodes as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let grand = parent[parent[x as usize] as usize];
-                parent[x as usize] = grand;
-                x = grand;
-            }
-            x
-        }
-        for p in 0..pairs.len() {
-            let a = find(&mut parent, pairs.a_raw[p]);
-            let b = find(&mut parent, pairs.b_raw[p]);
-            if a != b {
-                parent[b as usize] = a;
-            }
-        }
-        // Assign shard ids in order of first appearance (deterministic),
-        // then bucket the pair indices per shard in global order.
-        const UNASSIGNED: u32 = u32::MAX;
-        let mut shard_of_root = vec![UNASSIGNED; num_nodes];
-        let mut pair_shard = Vec::with_capacity(pairs.len());
-        let mut num_shards = 0u32;
-        for p in 0..pairs.len() {
-            let root = find(&mut parent, pairs.a_raw[p]) as usize;
-            if shard_of_root[root] == UNASSIGNED {
-                shard_of_root[root] = num_shards;
-                num_shards += 1;
-            }
-            pair_shard.push(shard_of_root[root]);
-        }
-        let mut shard_start = vec![0u32; num_shards as usize + 1];
-        for &s in &pair_shard {
-            shard_start[s as usize + 1] += 1;
-        }
-        for s in 0..num_shards as usize {
-            shard_start[s + 1] += shard_start[s];
-        }
-        let mut scatter_pairs = vec![0u32; pairs.len()];
-        let mut cursor = shard_start.clone();
-        for (p, &s) in pair_shard.iter().enumerate() {
-            scatter_pairs[cursor[s as usize] as usize] = p as u32;
-            cursor[s as usize] += 1;
-        }
-        // Chunk the shards to a fixed pair budget (independent of thread
-        // count, so the grid — and with it every accumulation — is stable).
-        let mut chunk_start = vec![0u32];
-        let mut in_chunk = 0usize;
-        for s in 0..num_shards as usize {
-            let len = (shard_start[s + 1] - shard_start[s]) as usize;
-            if in_chunk > 0 && in_chunk + len > par::CHUNK_NODES {
-                chunk_start.push(s as u32);
-                in_chunk = 0;
-            }
-            in_chunk += len;
-        }
-        chunk_start.push(num_shards);
-        (scatter_pairs, shard_start, chunk_start)
-    }
-
-    /// Selects how this engine's traversals are distributed across threads
-    /// (see [`ParallelPolicy`]); [`OgwsSolver`](crate::OgwsSolver) applies
-    /// the configuration's policy at the start of every run. The `Level`
-    /// policy only changes *who computes what*: outcomes are bitwise
-    /// identical for every thread count, and the exact solve strategy stays
-    /// bitwise-pinned to [`crate::reference`].
-    pub fn set_parallel(&mut self, policy: ParallelPolicy) {
-        self.par.configure(policy, self.grid.num_levels());
-    }
-
-    /// The active parallel policy.
-    pub fn parallel_policy(&self) -> ParallelPolicy {
-        self.par.policy()
-    }
-
-    /// Enables the lane-blocked aggregate reductions
-    /// ([`total_capacitance`](Self::total_capacitance),
-    /// [`total_area`](Self::total_area),
-    /// [`crosstalk_lhs`](Self::crosstalk_lhs)) while a `Level` policy is
-    /// active. The blocks keep [`LANES`] partial sums, which reassociates
-    /// the reduction: results are epsilon-pinned (1e-6 end-to-end, the
-    /// PR 4 adaptive-vs-exact contract) instead of bitwise. Off by
-    /// default, and [`OgwsSolver`](crate::OgwsSolver) only switches it on
-    /// for the adaptive strategy, so the exact strategy stays
-    /// bitwise-pinned to [`crate::reference`] under every policy.
-    pub fn set_lane_aggregates(&mut self, enable: bool) {
-        self.lane_aggregates = enable;
-    }
-
-    /// The parallel runtime, for sibling subsystems (subgradient update,
-    /// flow projection) that run their own deterministic passes.
-    pub(crate) fn par_runtime(&self) -> &ParRuntime {
-        &self.par
-    }
-
-    /// The dense topology + chunk grid behind the level-parallel paths,
-    /// when the policy and the backend enable them.
-    pub(crate) fn level_ctx(&self) -> Option<(&CircuitTopology, &LevelGrid)> {
-        if !self.par.active() {
-            return None;
-        }
-        let topo = self.model.dense_topology(&self.state)?;
-        Some((topo, &self.grid))
+    /// Creates an engine for an assembled sizing problem.
+    pub fn for_problem(problem: &SizingProblem<'a>) -> Self {
+        SizingEngine::new(problem.graph, problem.coupling)
     }
 
     /// Builds the component → coupling-pair CSR adjacency (each pair appears
@@ -774,11 +326,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         self.coupling
     }
 
-    /// The delay-model backend.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
     /// The scratch workspace (read access; the engine owns the mutation).
     pub fn workspace(&self) -> &EvalWorkspace {
         &self.ws
@@ -789,14 +336,13 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
     /// allocation: the evaluation workspace, the dense per-component
     /// attribute tables, the coupling-pair table and its per-component CSR
     /// adjacency, the adaptive-schedule buffers (dirty sets, active set,
-    /// incremental scratch) and the delay model's prepared state.
+    /// incremental scratch) and the dense topology.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ws.memory_bytes()
             + self.comp_raw_index.capacity() * size_of::<usize>()
             + self.comp_is_wire.capacity() * size_of::<bool>()
-            + (self.wire_mask.capacity()
-                + self.unit_resistance.capacity()
+            + (self.unit_resistance.capacity()
                 + self.unit_capacitance.capacity()
                 + self.area_coefficient.capacity()
                 + self.lower_bound.capacity()
@@ -806,52 +352,22 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
                 + self.extra_denom.capacity())
                 * size_of::<f64>()
             + self.pair_table.memory_bytes()
-            + (self.comp_pair_start.capacity()
-                + self.comp_pair_list.capacity()
-                + self.scatter_pairs.capacity()
-                + self.scatter_shard_start.capacity()
-                + self.scatter_chunk_start.capacity())
-                * size_of::<u32>()
+            + (self.comp_pair_start.capacity() + self.comp_pair_list.capacity()) * size_of::<u32>()
             + self.sched.memory_bytes()
-            + self.grid.memory_bytes()
-            + self.pscratch.memory_bytes()
-            + self.par.memory_bytes()
-            + self.model.state_memory_bytes(&self.state)
+            + self.topo.memory_bytes()
     }
 
     /// Total component capacitance `Σ c_i` (fF, excluding coupling) over
     /// the dense attribute tables — bitwise identical to
     /// [`ncgws_circuit::total_capacitance`] (same per-component arithmetic,
     /// same accumulation order), at a fraction of the pointer-chasing cost.
-    ///
-    /// With [`set_lane_aggregates`](Self::set_lane_aggregates) on and a
-    /// `Level` policy active, the sum is kept in [`LANES`] partial
-    /// accumulators instead (reassociated, epsilon-pinned rather than
-    /// bitwise).
     pub fn total_capacitance(&self, sizes: &SizeVector) -> f64 {
         let xs = sizes.as_slice();
-        let n = self.unit_capacitance.len();
-        assert_eq!(xs.len(), n, "sizes must match the circuit");
-        if self.lane_aggregates && self.par.active() {
-            let mut acc = [0.0f64; LANES];
-            let mut i = 0usize;
-            while i + LANES <= n {
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    let k = i + j;
-                    *slot += self.unit_capacitance[k] * xs[k] + self.fringing[k];
-                }
-                i += LANES;
-            }
-            let mut tail = 0.0;
-            for ((&unit_cap, &x), &fringing) in self.unit_capacitance[i..n]
-                .iter()
-                .zip(&xs[i..n])
-                .zip(&self.fringing[i..n])
-            {
-                tail += unit_cap * x + fringing;
-            }
-            return acc.iter().fold(0.0, |a, &v| a + v) + tail;
-        }
+        assert_eq!(
+            xs.len(),
+            self.unit_capacitance.len(),
+            "sizes must match the circuit"
+        );
         let mut acc = 0.0;
         for ((&unit_cap, &x), &fringing) in self.unit_capacitance.iter().zip(xs).zip(&self.fringing)
         {
@@ -861,30 +377,14 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
     }
 
     /// Total area `Σ α_i x_i` (µm²) over the dense attribute tables —
-    /// bitwise identical to [`ncgws_circuit::total_area`] (lane-blocked and
-    /// epsilon-pinned when
-    /// [`set_lane_aggregates`](Self::set_lane_aggregates) is on, as
-    /// [`total_capacitance`](Self::total_capacitance)).
+    /// bitwise identical to [`ncgws_circuit::total_area`].
     pub fn total_area(&self, sizes: &SizeVector) -> f64 {
         let xs = sizes.as_slice();
-        let n = self.area_coefficient.len();
-        assert_eq!(xs.len(), n, "sizes must match the circuit");
-        if self.lane_aggregates && self.par.active() {
-            let mut acc = [0.0f64; LANES];
-            let mut i = 0usize;
-            while i + LANES <= n {
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    let k = i + j;
-                    *slot += self.area_coefficient[k] * xs[k];
-                }
-                i += LANES;
-            }
-            let mut tail = 0.0;
-            for (&alpha, &x) in self.area_coefficient[i..n].iter().zip(&xs[i..n]) {
-                tail += alpha * x;
-            }
-            return acc.iter().fold(0.0, |a, &v| a + v) + tail;
-        }
+        assert_eq!(
+            xs.len(),
+            self.area_coefficient.len(),
+            "sizes must match the circuit"
+        );
         let mut acc = 0.0;
         for (&alpha, &x) in self.area_coefficient.iter().zip(xs) {
             acc += alpha * x;
@@ -894,10 +394,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
 
     /// Crosstalk left-hand side `Σ sf_ij · ĉ_ij · (x_i + x_j)` over the
     /// dense pair table — bitwise identical to
-    /// [`CouplingSet::crosstalk_lhs`] (same pair order; lane-blocked and
-    /// epsilon-pinned when
-    /// [`set_lane_aggregates`](Self::set_lane_aggregates) is on, as
-    /// [`total_capacitance`](Self::total_capacitance)).
+    /// [`CouplingSet::crosstalk_lhs`] (same pair order).
     pub fn crosstalk_lhs(&self, sizes: &SizeVector) -> f64 {
         let xs = sizes.as_slice();
         assert_eq!(
@@ -906,29 +403,8 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             "sizes must match the circuit"
         );
         let pairs = &self.pair_table;
-        let np = pairs.len();
-        if self.lane_aggregates && self.par.active() {
-            let mut acc = [0.0f64; LANES];
-            let mut p = 0usize;
-            while p + LANES <= np {
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    let q = p + j;
-                    *slot += pairs.switching[q]
-                        * pairs.coeff[q]
-                        * (xs[pairs.a_comp[q] as usize] + xs[pairs.b_comp[q] as usize]);
-                }
-                p += LANES;
-            }
-            let mut tail = 0.0;
-            for q in p..np {
-                tail += pairs.switching[q]
-                    * pairs.coeff[q]
-                    * (xs[pairs.a_comp[q] as usize] + xs[pairs.b_comp[q] as usize]);
-            }
-            return acc.iter().fold(0.0, |a, &v| a + v) + tail;
-        }
         let mut acc = 0.0;
-        for q in 0..np {
+        for q in 0..pairs.len() {
             acc += pairs.switching[q]
                 * pairs.coeff[q]
                 * (xs[pairs.a_comp[q] as usize] + xs[pairs.b_comp[q] as usize]);
@@ -959,68 +435,10 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             self.comp_raw_index.len(),
             "sizes must match the circuit"
         );
-        // Channel-sharded scatter under the level-parallel policy: chunks
-        // cover whole shards (connected channels), so concurrent chunks
-        // never write the same per-node accumulator, and within a shard the
-        // pairs keep global order — every node's adds happen in exactly the
-        // sequential order, making the result bitwise identical to the loop
-        // below for every thread count.
-        if self.par.active() && self.scatter_chunk_start.len() > 2 {
-            let chunks = self.scatter_chunk_start.len() - 1;
-            let load_s = SharedMut::new(load.as_mut_slice());
-            let pairs = &self.pair_table;
-            let scatter_pairs = &self.scatter_pairs;
-            let shard_start = &self.scatter_shard_start;
-            let chunk_start = &self.scatter_chunk_start;
-            self.par.run_flat(chunks, |c| {
-                for shard in chunk_start[c] as usize..chunk_start[c + 1] as usize {
-                    let pair_range = shard_start[shard] as usize..shard_start[shard + 1] as usize;
-                    for &p in &scatter_pairs[pair_range] {
-                        let p = p as usize;
-                        // SAFETY: lengths asserted above; shards own
-                        // disjoint node sets, so no concurrent writes alias.
-                        unsafe {
-                            let xa = *sizes.get_unchecked(*pairs.a_comp.get_unchecked(p) as usize);
-                            let xb = *sizes.get_unchecked(*pairs.b_comp.get_unchecked(p) as usize);
-                            let cap = pairs.cap_unchecked(p, xa, xb);
-                            load_s.add(*pairs.a_raw.get_unchecked(p) as usize, cap);
-                            load_s.add(*pairs.b_raw.get_unchecked(p) as usize, cap);
-                        }
-                    }
-                }
-            });
-            return;
-        }
-        // Blocked sequential scatter: the per-pair capacitance arithmetic
-        // is independent, so a LANES-wide block computes four caps from the
-        // contiguous SoA columns at once; the scatter adds then run in
-        // exact global pair order, so every node's accumulation sequence —
-        // and with it the result — stays bitwise identical to the
-        // one-pair-at-a-time loop.
         let pairs = &self.pair_table;
-        let np = pairs.len();
-        let mut p = 0usize;
-        while p + LANES <= np {
-            let mut cap = [0.0f64; LANES];
+        for q in 0..pairs.len() {
             // SAFETY: lengths asserted above; the stored indices are in
             // range by construction.
-            unsafe {
-                for (j, slot) in cap.iter_mut().enumerate() {
-                    let q = p + j;
-                    let xa = *sizes.get_unchecked(*pairs.a_comp.get_unchecked(q) as usize);
-                    let xb = *sizes.get_unchecked(*pairs.b_comp.get_unchecked(q) as usize);
-                    *slot = pairs.cap_unchecked(q, xa, xb);
-                }
-                for (j, &c) in cap.iter().enumerate() {
-                    let q = p + j;
-                    *load.get_unchecked_mut(*pairs.a_raw.get_unchecked(q) as usize) += c;
-                    *load.get_unchecked_mut(*pairs.b_raw.get_unchecked(q) as usize) += c;
-                }
-            }
-            p += LANES;
-        }
-        for q in p..np {
-            // SAFETY: as above.
             unsafe {
                 let xa = *sizes.get_unchecked(*pairs.a_comp.get_unchecked(q) as usize);
                 let xb = *sizes.get_unchecked(*pairs.b_comp.get_unchecked(q) as usize);
@@ -1059,45 +477,10 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
     }
 
     /// Full downstream-capacitance rebuild at `sizes` (the coupling load
-    /// must already be in `ws.extra_cap`): level-parallel over the chunk
-    /// grid when the policy and backend allow, the sequential model call
-    /// otherwise. Per-node results are bitwise identical either way — each
-    /// node's accumulation runs over its own CSR fanout list in list order,
-    /// reading only settled later levels.
+    /// must already be in `ws.extra_cap`).
     fn rebuild_downstream_caps(&mut self, sizes: &SizeVector) {
-        if self.par.active() {
-            if let Some(topo) = self.model.dense_topology(&self.state) {
-                let n = topo.num_nodes();
-                let ws = &mut self.ws;
-                assert_eq!(ws.charged.len(), n, "workspace must match the circuit");
-                assert_eq!(ws.presented.len(), n);
-                assert_eq!(ws.extra_cap.len(), n);
-                assert_eq!(
-                    sizes.len(),
-                    self.comp_raw_index.len(),
-                    "sizes must match the circuit"
-                );
-                let xs = sizes.as_slice();
-                let charged_s = SharedMut::new(ws.charged.as_mut_slice());
-                let presented_s = SharedMut::new(ws.presented.as_mut_slice());
-                let extra: &[f64] = &ws.extra_cap;
-                let grid = &self.grid;
-                self.par.run_leveled(grid, true, |l, c| {
-                    let level = topo.level(l);
-                    let range = grid.chunk_range(level.len(), c);
-                    // SAFETY: chunks of one level own disjoint nodes;
-                    // levels settle in reverse dependency order; lengths
-                    // asserted above.
-                    unsafe {
-                        topo.downstream_caps_chunk(&level[range], xs, extra, charged_s, presented_s)
-                    };
-                });
-                return;
-            }
-        }
         let ws = &mut self.ws;
-        self.model.downstream_caps_into(
-            &self.state,
+        self.topo.downstream_caps_into(
             sizes,
             Some(&ws.extra_cap),
             &mut ws.charged,
@@ -1106,39 +489,11 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
     }
 
     /// Full λ-weighted upstream-resistance rebuild at `sizes` (weights from
-    /// `ws.node_weights`): the forward-leveled counterpart of
-    /// [`rebuild_downstream_caps`](Self::rebuild_downstream_caps).
+    /// `ws.node_weights`).
     fn rebuild_upstream(&mut self, sizes: &SizeVector) {
-        if self.par.active() {
-            if let Some(topo) = self.model.dense_topology(&self.state) {
-                let n = topo.num_nodes();
-                let ws = &mut self.ws;
-                assert_eq!(ws.upstream.len(), n, "workspace must match the circuit");
-                assert_eq!(ws.node_weights.len(), n);
-                assert_eq!(
-                    sizes.len(),
-                    self.comp_raw_index.len(),
-                    "sizes must match the circuit"
-                );
-                let xs = sizes.as_slice();
-                let upstream_s = SharedMut::new(ws.upstream.as_mut_slice());
-                let weights: &[f64] = &ws.node_weights;
-                let grid = &self.grid;
-                self.par.run_leveled(grid, false, |l, c| {
-                    let level = topo.level(l);
-                    let range = grid.chunk_range(level.len(), c);
-                    // SAFETY: chunks of one level own disjoint nodes;
-                    // levels settle in forward dependency order.
-                    unsafe {
-                        topo.upstream_resistance_chunk(&level[range], xs, weights, upstream_s)
-                    };
-                });
-                return;
-            }
-        }
         let ws = &mut self.ws;
-        self.model
-            .upstream_resistance_into(&self.state, sizes, &ws.node_weights, &mut ws.upstream);
+        self.topo
+            .upstream_resistance_into(sizes, &ws.node_weights, &mut ws.upstream);
     }
 
     /// One greedy LRS coordinate sweep (steps S2–S4 of Figure 8): recompute
@@ -1155,7 +510,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         // longer describes them.
         self.sched.caps_synced = false;
         self.sched.charged_fresh = false;
-        self.ws.prev_sizes.copy_from_slice(sizes.as_slice());
 
         // S2: downstream capacitances C_i with the coupling load included.
         self.refresh_coupling_load(sizes);
@@ -1163,104 +517,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         // S3: λ-weighted upstream resistances R_i.
         self.rebuild_upstream(sizes);
 
-        // Level-parallel S4: the closed-form resize is component-separable
-        // (each component reads only the fixed charged/upstream/λ tables and
-        // its own size), so flat chunks distribute it freely; per-chunk
-        // worst-change maxima merge in fixed chunk order. The arithmetic is
-        // the sequential loop's, expression for expression, so the exact
-        // path stays bitwise-pinned to `crate::reference` at any thread
-        // count.
-        if self.par.active() && self.model.dense_topology(&self.state).is_some() {
-            let ws = &mut self.ws;
-            let n = self.comp_raw_index.len();
-            assert_eq!(sizes.len(), n, "sizes must match the circuit");
-            assert_eq!(
-                ws.charged.len(),
-                self.graph.num_nodes(),
-                "workspace must match the circuit"
-            );
-            assert_eq!(ws.node_weights.len(), ws.charged.len());
-            assert_eq!(ws.upstream.len(), ws.charged.len());
-            let tables = ResizeTables {
-                is_wire: &self.comp_is_wire,
-                wire_mask: &self.wire_mask,
-                unit_resistance: &self.unit_resistance,
-                unit_capacitance: &self.unit_capacitance,
-                area_coefficient: &self.area_coefficient,
-                lower_bound: &self.lower_bound,
-                upper_bound: &self.upper_bound,
-                coupling_sum: &self.coupling_sum,
-                extra_denom: &self.extra_denom,
-                beta,
-                gamma,
-            };
-            let raw_index = &self.comp_raw_index[..n];
-            let charged: &[f64] = &ws.charged;
-            let upstream: &[f64] = &ws.upstream;
-            let node_weights: &[f64] = &ws.node_weights;
-            let xs_s = SharedMut::new(&mut sizes.as_mut_slice()[..n]);
-            let chunks = par::flat_chunks(n);
-            let chunk_worst = SharedMut::new(self.pscratch.chunk_worst.as_mut_slice());
-            self.par.run_flat(chunks, |c| {
-                let mut local = 0.0f64;
-                let range = par::flat_range(n, c);
-                // LANES-wide blocks over the chunk's contiguous dense
-                // components, scalar tail. The lane closed form is per-lane
-                // bitwise identical to the scalar one and the worst-change
-                // max folds in the same component order, so the sweep stays
-                // bitwise-pinned to `crate::reference`.
-                let mut dense = range.start;
-                while dense + LANES <= range.end {
-                    let comps: [usize; LANES] = std::array::from_fn(|j| dense + j);
-                    let mut x = [0.0f64; LANES];
-                    let mut ch = [0.0f64; LANES];
-                    let mut up = [0.0f64; LANES];
-                    let mut la = [0.0f64; LANES];
-                    // SAFETY: `raw` is a node index of the engine's circuit
-                    // (lengths cross-checked above); each `dense` is owned
-                    // by this chunk, so the size reads/writes cannot alias.
-                    unsafe {
-                        for j in 0..LANES {
-                            let raw = raw_index[comps[j]];
-                            x[j] = xs_s.get(comps[j]);
-                            ch[j] = *charged.get_unchecked(raw);
-                            up[j] = *upstream.get_unchecked(raw);
-                            la[j] = *node_weights.get_unchecked(raw);
-                        }
-                        let (x_new, rel) = tables.closed_form_lanes(&comps, &x, &ch, &up, &la);
-                        for j in 0..LANES {
-                            xs_s.set(comps[j], x_new[j]);
-                            local = local.max(rel[j]);
-                        }
-                    }
-                    dense += LANES;
-                }
-                for (dense, &raw) in raw_index.iter().enumerate().take(range.end).skip(dense) {
-                    // SAFETY: as the lane blocks above.
-                    unsafe {
-                        let x_i = xs_s.get(dense);
-                        let (x_new, rel) = tables.closed_form(
-                            dense,
-                            x_i,
-                            *charged.get_unchecked(raw),
-                            *upstream.get_unchecked(raw),
-                            *node_weights.get_unchecked(raw),
-                        );
-                        xs_s.set(dense, x_new);
-                        local = local.max(rel);
-                    }
-                }
-                // SAFETY: slot `c` is owned by this chunk.
-                unsafe { chunk_worst.set(c, local) };
-            });
-            let mut worst = 0.0f64;
-            for c in 0..chunks {
-                worst = worst.max(self.pscratch.chunk_worst[c]);
-            }
-            return worst;
-        }
-
-        let ws = &mut self.ws;
+        let ws = &self.ws;
         // S4 + S5: greedy closed-form resize, updating in place, fused with
         // the convergence measure. All dense tables are pre-sliced to the
         // component count so the per-component indexing is check-free; the
@@ -1284,7 +541,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         let upper = &self.upper_bound[..n];
         let coupling_sums = &self.coupling_sum[..n];
         let extra_denom = &self.extra_denom[..n];
-        let prev = &ws.prev_sizes[..n];
         let xs = &mut sizes.as_mut_slice()[..n];
 
         let mut worst = 0.0_f64;
@@ -1333,7 +589,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             xs[dense] = x_new;
 
             // S5's convergence measure: the largest relative change.
-            worst = worst.max((x_new - prev[dense]).abs() / prev[dense].abs().max(1e-12));
+            worst = worst.max((x_new - x_i).abs() / x_i.abs().max(1e-12));
         }
         worst
     }
@@ -1394,27 +650,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         self.sched.global_sweep
     }
 
-    /// Full exact evaluation of every cached table (coupling loads,
-    /// downstream capacitances, λ-weighted upstream resistances) at `sizes`
-    /// — the S2+S3 arithmetic of the exact sweep, leaving the caches synced.
-    ///
-    /// The capacitance-side tables are skipped when they already reflect
-    /// `sizes` exactly (as after a [`timing`](Self::timing) evaluation at
-    /// the same sizes — the OGWS steady state), since rebuilding them would
-    /// reproduce the identical values; the λ-weighted upstream resistances
-    /// are always rebuilt because the node weights change between solves.
-    fn full_eval(&mut self, sizes: &SizeVector) {
-        let caps_current = self.sched.caps_synced
-            && self.sched.changed.is_empty()
-            && self.sched.eval_sizes.as_slice() == sizes.as_slice();
-        if !caps_current {
-            self.refresh_coupling_load(sizes);
-            self.rebuild_downstream_caps(sizes);
-            self.note_caps_synced(sizes);
-        }
-        self.rebuild_upstream(sizes);
-    }
-
     /// Sparse counterpart of [`refresh_coupling_load`](Self::refresh_coupling_load):
     /// scatters the coupling-load delta of every component in
     /// `sched.changed` through the per-component pair CSR, updating
@@ -1446,39 +681,37 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         }
     }
 
-    /// Brings every cached table up to date with `sizes` by propagating the
-    /// deltas of the components resized since the last evaluation. Falls
-    /// back to a full rebuild when the caches are not synced, the backend
-    /// has no incremental paths, the schedule disables them, or the dirty
-    /// set is so large a rebuild is cheaper.
-    fn incremental_eval(&mut self, sizes: &SizeVector, schedule: &AdaptiveSchedule) {
+    /// Brings every cached table up to date with `sizes` after a scheduled
+    /// solve by propagating the deltas of the components resized since the
+    /// last evaluation, when the dirty set is small — so the timing
+    /// evaluation that follows every solve in the OGWS loop can skip its
+    /// full coupling + downstream rebuild ([`timing`](Self::timing)'s
+    /// synced fast path). A no-op when the caches are not synced, the
+    /// schedule disables incremental updates, or the dirty set is so large
+    /// that the timing rebuild is cheaper.
+    pub(crate) fn finish_solve_sync(&mut self, sizes: &SizeVector, schedule: &AdaptiveSchedule) {
         let n = self.comp_raw_index.len();
         if !self.sched.caps_synced
             || !schedule.incremental
-            || !self.model.supports_incremental()
+            || self.sched.changed.is_empty()
             || self.sched.changed.len() * 4 > n
         {
-            self.full_eval(sizes);
-            return;
-        }
-        if self.sched.changed.is_empty() {
             return;
         }
         self.refresh_coupling_load_sparse(sizes);
-        let model = &self.model;
-        let state = &self.state;
+        let topo = &self.topo;
         let ws = &mut self.ws;
         let sched = &mut self.sched;
-        // After a fused sweep the charged/presented tables already carry the
-        // changed components' own-capacitance updates (the pass maintains
-        // them); only the coupling-load deltas remain to be propagated.
+        // After a backward fused sweep the charged/presented tables already
+        // carry the changed components' own-capacitance updates (the pass
+        // maintains them); only the coupling-load deltas remain to be
+        // propagated.
         let cap_dirty_comps: &[u32] = if sched.charged_fresh {
             &[]
         } else {
             &sched.changed
         };
-        model.downstream_caps_update(
-            state,
+        topo.downstream_caps_update(
             sizes,
             &sched.eval_sizes,
             cap_dirty_comps,
@@ -1489,8 +722,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             &mut sched.inc,
         );
         sched.charged_fresh = false;
-        model.upstream_resistance_update(
-            state,
+        topo.upstream_resistance_update(
             sizes,
             &sched.eval_sizes,
             &sched.changed,
@@ -1503,56 +735,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             sched.eval_sizes[comp as usize] = xs[comp as usize];
         }
         sched.clear_changed();
-    }
-
-    /// Brings every cached table up to date with `sizes` after a scheduled
-    /// solve, when the remaining dirty set is small — so the timing
-    /// evaluation that follows every solve in the OGWS loop can skip its
-    /// full coupling + downstream rebuild ([`timing`](Self::timing)'s
-    /// synced fast path). A no-op when a rebuild would be needed anyway.
-    pub(crate) fn finish_solve_sync(&mut self, sizes: &SizeVector, schedule: &AdaptiveSchedule) {
-        let n = self.comp_raw_index.len();
-        if self.sched.caps_synced
-            && schedule.incremental
-            && self.model.supports_incremental()
-            && self.sched.changed.len() * 4 <= n
-        {
-            self.incremental_eval(sizes, schedule);
-        }
-    }
-
-    /// The per-sweep view of the closed-form resize inputs (one struct of
-    /// borrowed tables, shared by every sweep variant so the Theorem-5
-    /// arithmetic lives in exactly one place:
-    /// [`ResizeTables::closed_form`]).
-    fn resize_tables(&self, beta: f64, gamma: f64) -> ResizeTables<'_> {
-        ResizeTables {
-            is_wire: &self.comp_is_wire,
-            wire_mask: &self.wire_mask,
-            unit_resistance: &self.unit_resistance,
-            unit_capacitance: &self.unit_capacitance,
-            area_coefficient: &self.area_coefficient,
-            lower_bound: &self.lower_bound,
-            upper_bound: &self.upper_bound,
-            coupling_sum: &self.coupling_sum,
-            extra_denom: &self.extra_denom,
-            beta,
-            gamma,
-        }
-    }
-
-    /// The Theorem-5 closed-form resize of one component over the cached
-    /// workspace tables. Returns `(x_new, relative_change)`.
-    #[inline(always)]
-    fn resize_component(&self, dense: usize, x_i: f64, beta: f64, gamma: f64) -> (f64, f64) {
-        let raw = self.comp_raw_index[dense];
-        self.resize_tables(beta, gamma).closed_form(
-            dense,
-            x_i,
-            self.ws.charged[raw],
-            self.ws.upstream[raw],
-            self.ws.node_weights[raw],
-        )
     }
 
     /// Ensures `ws.charged`/`ws.presented` reflect `sizes` exactly — the
@@ -1608,13 +790,13 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
     }
 
     /// One forward fused Gauss–Seidel pass
-    /// ([`DelayModel::fused_upstream_resize`]): a single forward-topological
+    /// ([`CircuitTopology::fused_upstream_resize`]): a single forward-topological
     /// traversal recomputes the λ-weighted upstream resistances over the
     /// freshly resized upstream state and resizes each component the moment
     /// its upstream resistance is known, reading the charged table of the
     /// previous backward pass. With `resize_all` every component is
     /// re-checked (verification semantics); otherwise frozen components are
-    /// skipped. Returns `None` when the backend has no fused path.
+    /// skipped. Returns `(worst relative change, components touched)`.
     pub(crate) fn fused_forward_sweep(
         &mut self,
         sizes: &mut SizeVector,
@@ -1622,16 +804,8 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         gamma: f64,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
-    ) -> Option<(f64, usize)> {
-        if !self.model.supports_fused() {
-            return None;
-        }
+    ) -> (f64, usize) {
         self.ensure_charged_fresh(sizes);
-        if self.par.active() && self.model.dense_topology(&self.state).is_some() {
-            return Some(
-                self.fused_parallel_sweep(sizes, beta, gamma, schedule, resize_all, false),
-            );
-        }
         let EvalWorkspace {
             charged,
             upstream,
@@ -1643,7 +817,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         let sched = &mut self.sched;
         let tables = ResizeTables {
             is_wire: &self.comp_is_wire,
-            wire_mask: &self.wire_mask,
             unit_resistance: &self.unit_resistance,
             unit_capacitance: &self.unit_capacitance,
             area_coefficient: &self.area_coefficient,
@@ -1656,45 +829,31 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         };
         let mut worst = 0.0_f64;
         let mut touched = 0usize;
-        let supported = {
-            let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| -> f64 {
-                if !resize_all && sched.frozen[comp] {
-                    return x_i;
-                }
-                touched += 1;
-                let (x_new, rel) =
-                    tables.closed_form(comp, x_i, charged[node], upstream_i, node_weights[node]);
-                worst = worst.max(rel);
-                sched.note_resize(comp, rel, schedule);
-                if x_new != x_i {
-                    sched.push_changed(comp);
-                }
-                x_new
-            };
-            self.model.fused_upstream_resize(
-                &self.state,
-                sizes,
-                node_weights,
-                upstream,
-                &mut resize,
-            )
+        let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| -> f64 {
+            if !resize_all && sched.frozen[comp] {
+                return x_i;
+            }
+            touched += 1;
+            let (x_new, rel) =
+                tables.closed_form(comp, x_i, charged[node], upstream_i, node_weights[node]);
+            worst = worst.max(rel);
+            sched.note_resize(comp, rel, schedule);
+            if x_new != x_i {
+                sched.push_changed(comp);
+            }
+            x_new
         };
-        // `supports_fused()` was checked before any state was touched; a
-        // backend returning `false` here broke that contract, and silently
-        // falling back would leave the caches it promised to rebuild stale.
-        assert!(
-            supported,
-            "DelayModel::supports_fused() promised a fused pass that was not performed"
-        );
+        self.topo
+            .fused_upstream_resize(sizes, node_weights, upstream, &mut resize);
         // The resizes invalidated the charged table (it still reflects the
         // pre-pass sizes); the next backward pass rebuilds it.
         sched.charged_fresh = false;
         sched.rebuild_active();
-        Some((worst, touched))
+        (worst, touched)
     }
 
     /// One backward fused Gauss–Seidel pass
-    /// ([`DelayModel::fused_downstream_resize`]): the coupling loads are
+    /// ([`CircuitTopology::fused_downstream_resize`]): the coupling loads are
     /// brought up to date (sparsely when the dirty set is small), then a
     /// single reverse-topological traversal re-accumulates the downstream
     /// capacitances and resizes each component the moment its charged
@@ -1709,14 +868,8 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         gamma: f64,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
-    ) -> Option<(f64, usize)> {
-        if !self.model.supports_fused() {
-            return None;
-        }
+    ) -> (f64, usize) {
         self.prepare_coupling(sizes, schedule, resize_all);
-        if self.par.active() && self.model.dense_topology(&self.state).is_some() {
-            return Some(self.fused_parallel_sweep(sizes, beta, gamma, schedule, resize_all, true));
-        }
         let EvalWorkspace {
             charged,
             presented,
@@ -1731,7 +884,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         let sched = &mut self.sched;
         let tables = ResizeTables {
             is_wire: &self.comp_is_wire,
-            wire_mask: &self.wire_mask,
             unit_resistance: &self.unit_resistance,
             unit_capacitance: &self.unit_capacitance,
             area_coefficient: &self.area_coefficient,
@@ -1744,441 +896,26 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         };
         let mut worst = 0.0_f64;
         let mut touched = 0usize;
-        let supported = {
-            let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| -> f64 {
-                if !resize_all && sched.frozen[comp] {
-                    return x_i;
-                }
-                touched += 1;
-                let (x_new, rel) =
-                    tables.closed_form(comp, x_i, charged_i, upstream[node], node_weights[node]);
-                worst = worst.max(rel);
-                sched.note_resize(comp, rel, schedule);
-                if x_new != x_i {
-                    sched.push_changed(comp);
-                }
-                x_new
-            };
-            self.model.fused_downstream_resize(
-                &self.state,
-                sizes,
-                extra_cap,
-                charged,
-                presented,
-                &mut resize,
-            )
+        let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| -> f64 {
+            if !resize_all && sched.frozen[comp] {
+                return x_i;
+            }
+            touched += 1;
+            let (x_new, rel) =
+                tables.closed_form(comp, x_i, charged_i, upstream[node], node_weights[node]);
+            worst = worst.max(rel);
+            sched.note_resize(comp, rel, schedule);
+            if x_new != x_i {
+                sched.push_changed(comp);
+            }
+            x_new
         };
-        // `supports_fused()` was checked before any state was touched; a
-        // backend returning `false` here broke that contract, and silently
-        // falling back would leave the caches it promised to rebuild stale.
-        assert!(
-            supported,
-            "DelayModel::supports_fused() promised a fused pass that was not performed"
-        );
+        self.topo
+            .fused_downstream_resize(sizes, extra_cap, charged, presented, &mut resize);
         // The pass maintained charged/presented through every resize, so
         // they reflect the post-sweep sizes already.
         sched.charged_fresh = true;
         sched.rebuild_active();
-        Some((worst, touched))
-    }
-
-    /// One level-parallel fused Gauss–Seidel pass over the chunk grid —
-    /// the multi-threaded counterpart of the sequential
-    /// [`fused_backward_sweep`](Self::fused_backward_sweep) (`backward`) /
-    /// [`fused_forward_sweep`](Self::fused_forward_sweep) bodies. The
-    /// caller has already prepared the pass's fixed-side caches.
-    ///
-    /// Determinism: chunk boundaries come from the fixed grid; per-node
-    /// arithmetic reads only settled neighbor levels; the calm/frozen
-    /// bookkeeping touches each chunk's own components; and the worst /
-    /// touched / dirty-frontier reductions are written to per-chunk slots
-    /// and merged below in fixed chunk order — so the outcome is bitwise
-    /// identical for every thread count (including the sequential grid
-    /// walk used when threads = 1 or the `parallel` feature is off).
-    fn fused_parallel_sweep(
-        &mut self,
-        sizes: &mut SizeVector,
-        beta: f64,
-        gamma: f64,
-        schedule: &AdaptiveSchedule,
-        resize_all: bool,
-        backward: bool,
-    ) -> (f64, usize) {
-        let topo = self
-            .model
-            .dense_topology(&self.state)
-            .expect("caller checked dense_topology");
-        let n_nodes = topo.num_nodes();
-        let n_comps = self.comp_raw_index.len();
-        assert_eq!(sizes.len(), n_comps, "sizes must match the circuit");
-        let EvalWorkspace {
-            charged,
-            presented,
-            upstream,
-            extra_cap,
-            node_weights,
-            ..
-        } = &mut self.ws;
-        assert_eq!(charged.len(), n_nodes, "workspace must match the circuit");
-        assert_eq!(presented.len(), n_nodes);
-        assert_eq!(upstream.len(), n_nodes);
-        assert_eq!(extra_cap.len(), n_nodes);
-        assert_eq!(node_weights.len(), n_nodes);
-        let sched = &mut self.sched;
-        assert_eq!(sched.calm.len(), n_comps);
-        assert_eq!(sched.frozen.len(), n_comps);
-        let tables = ResizeTables {
-            is_wire: &self.comp_is_wire,
-            wire_mask: &self.wire_mask,
-            unit_resistance: &self.unit_resistance,
-            unit_capacitance: &self.unit_capacitance,
-            area_coefficient: &self.area_coefficient,
-            lower_bound: &self.lower_bound,
-            upper_bound: &self.upper_bound,
-            coupling_sum: &self.coupling_sum,
-            extra_denom: &self.extra_denom,
-            beta,
-            gamma,
-        };
-        let xs_s = SharedMut::new(sizes.as_mut_slice());
-        let ps = &mut self.pscratch;
-        let chunk_worst = SharedMut::new(ps.chunk_worst.as_mut_slice());
-        let chunk_touched = SharedMut::new(ps.chunk_touched.as_mut_slice());
-        let chunk_changed_len = SharedMut::new(ps.chunk_changed_len.as_mut_slice());
-        let grid = &self.grid;
-        let ctx = FusedChunkCtx {
-            tables,
-            schedule,
-            resize_all,
-            calm: SharedMut::new(sched.calm.as_mut_slice()),
-            frozen: SharedMut::new(sched.frozen.as_mut_slice()),
-            chunk_changed: SharedMut::new(ps.chunk_changed.as_mut_slice()),
-        };
-
-        let mut worst = 0.0f64;
-        let mut touched_total = 0usize;
-        if backward {
-            let upstream_r: &[f64] = upstream;
-            let weights_r: &[f64] = node_weights;
-            let extra_r: &[f64] = extra_cap;
-            let charged_s = SharedMut::new(charged.as_mut_slice());
-            let presented_s = SharedMut::new(presented.as_mut_slice());
-            self.par.run_leveled(grid, true, |l, c| {
-                let level = topo.level(l);
-                let range = grid.chunk_range(level.len(), c);
-                let id = grid.chunk_id(l, c);
-                let seg = grid.node_base(l) + range.start;
-                let mut stats = ChunkStats::default();
-                let mut batch = |nodes: &[u32], values: &[f64], xs: SharedMut<'_, f64>| {
-                    // SAFETY: the chunk's components/nodes are chunk-owned
-                    // (one node per component); `upstream`/`weights` are
-                    // fixed for the pass; `values` has one entry per node.
-                    unsafe {
-                        ctx.apply_batch(
-                            topo, nodes, values, true, upstream_r, weights_r, xs, seg, &mut stats,
-                        )
-                    }
-                };
-                // SAFETY: chunk disjointness within the level; levels settle
-                // in reverse dependency order; lengths asserted above; the
-                // grid's chunks are at most one `MAX_CHUNK_NODES` granule.
-                unsafe {
-                    topo.fused_downstream_chunk_lanes(
-                        &level[range],
-                        xs_s,
-                        extra_r,
-                        charged_s,
-                        presented_s,
-                        &mut batch,
-                    );
-                    chunk_worst.set(id, stats.worst);
-                    chunk_touched.set(id, stats.touched);
-                    chunk_changed_len.set(id, stats.changed);
-                }
-            });
-        } else {
-            let charged_r: &[f64] = charged;
-            let weights_r: &[f64] = node_weights;
-            let upstream_s = SharedMut::new(upstream.as_mut_slice());
-            self.par.run_leveled(grid, false, |l, c| {
-                let level = topo.level(l);
-                let range = grid.chunk_range(level.len(), c);
-                let id = grid.chunk_id(l, c);
-                let seg = grid.node_base(l) + range.start;
-                let mut stats = ChunkStats::default();
-                let mut batch = |nodes: &[u32], values: &[f64], xs: SharedMut<'_, f64>| {
-                    // SAFETY: as the backward direction; `charged` is fixed
-                    // for the pass.
-                    unsafe {
-                        ctx.apply_batch(
-                            topo, nodes, values, false, charged_r, weights_r, xs, seg, &mut stats,
-                        )
-                    }
-                };
-                // SAFETY: chunk disjointness within the level; levels settle
-                // in forward dependency order; chunks are at most one
-                // `MAX_CHUNK_NODES` granule.
-                unsafe {
-                    topo.fused_upstream_chunk_lanes(
-                        &level[range],
-                        xs_s,
-                        weights_r,
-                        upstream_s,
-                        &mut batch,
-                    );
-                    chunk_worst.set(id, stats.worst);
-                    chunk_touched.set(id, stats.touched);
-                    chunk_changed_len.set(id, stats.changed);
-                }
-            });
-        }
-
-        // Merge the per-chunk reductions in fixed chunk order (the pass's
-        // traversal order), independent of which worker ran what.
-        let mut merge_level = |l: usize, sched: &mut ScheduleWorkspace| {
-            let level_len = topo.level(l).len();
-            for c in 0..grid.chunks_in(l) {
-                let id = grid.chunk_id(l, c);
-                worst = worst.max(ps.chunk_worst[id]);
-                touched_total += ps.chunk_touched[id] as usize;
-                let seg = grid.node_base(l) + grid.chunk_range(level_len, c).start;
-                for k in 0..ps.chunk_changed_len[id] as usize {
-                    sched.push_changed(ps.chunk_changed[seg + k] as usize);
-                }
-            }
-        };
-        if backward {
-            for l in (0..grid.num_levels()).rev() {
-                merge_level(l, sched);
-            }
-        } else {
-            for l in 0..grid.num_levels() {
-                merge_level(l, sched);
-            }
-        }
-        // Cache status mirrors the sequential passes: a backward pass
-        // maintains charged/presented through every resize, a forward pass
-        // leaves them describing the pre-pass sizes.
-        sched.charged_fresh = backward;
-        sched.rebuild_active();
-        (worst, touched_total)
-    }
-
-    /// One verification sweep: exact full re-evaluation at the current
-    /// sizes, every component resized, calm streaks updated, movers
-    /// unfrozen and the active set rebuilt. Returns `(worst relative
-    /// change, components touched)`.
-    pub(crate) fn verification_sweep(
-        &mut self,
-        sizes: &mut SizeVector,
-        beta: f64,
-        gamma: f64,
-        schedule: &AdaptiveSchedule,
-    ) -> (f64, usize) {
-        self.full_eval(sizes);
-        let n = self.comp_raw_index.len();
-        let mut worst = 0.0_f64;
-        // Lane-blocked resize under a `Level` policy: the closed form reads
-        // only pass-fixed tables and each component's own size, so batching
-        // LANES components per block reorders no observable access, and the
-        // bookkeeping below runs in component order — bitwise identical to
-        // the scalar loop, which stays the sequential-policy oracle.
-        if self.par.active() {
-            let tables = ResizeTables {
-                is_wire: &self.comp_is_wire,
-                wire_mask: &self.wire_mask,
-                unit_resistance: &self.unit_resistance,
-                unit_capacitance: &self.unit_capacitance,
-                area_coefficient: &self.area_coefficient,
-                lower_bound: &self.lower_bound,
-                upper_bound: &self.upper_bound,
-                coupling_sum: &self.coupling_sum,
-                extra_denom: &self.extra_denom,
-                beta,
-                gamma,
-            };
-            let raw_index = &self.comp_raw_index;
-            let ws = &self.ws;
-            let sched = &mut self.sched;
-            let mut dense = 0usize;
-            while dense + LANES <= n {
-                let comps: [usize; LANES] = std::array::from_fn(|j| dense + j);
-                let mut x = [0.0f64; LANES];
-                let mut ch = [0.0f64; LANES];
-                let mut up = [0.0f64; LANES];
-                let mut la = [0.0f64; LANES];
-                for j in 0..LANES {
-                    let raw = raw_index[comps[j]];
-                    x[j] = sizes[comps[j]];
-                    ch[j] = ws.charged[raw];
-                    up[j] = ws.upstream[raw];
-                    la[j] = ws.node_weights[raw];
-                }
-                let (x_new, rel) = tables.closed_form_lanes(&comps, &x, &ch, &up, &la);
-                for j in 0..LANES {
-                    let d = comps[j];
-                    if x_new[j] != x[j] {
-                        sizes[d] = x_new[j];
-                        sched.push_changed(d);
-                    }
-                    worst = worst.max(rel[j]);
-                    sched.note_resize(d, rel[j], schedule);
-                }
-                dense += LANES;
-            }
-            for dense in dense..n {
-                let raw = raw_index[dense];
-                let x_i = sizes[dense];
-                let (x_new, rel) = tables.closed_form(
-                    dense,
-                    x_i,
-                    ws.charged[raw],
-                    ws.upstream[raw],
-                    ws.node_weights[raw],
-                );
-                if x_new != x_i {
-                    sizes[dense] = x_new;
-                    sched.push_changed(dense);
-                }
-                worst = worst.max(rel);
-                sched.note_resize(dense, rel, schedule);
-            }
-            sched.rebuild_active();
-            return (worst, n);
-        }
-        for dense in 0..n {
-            let x_i = sizes[dense];
-            let (x_new, rel) = self.resize_component(dense, x_i, beta, gamma);
-            if x_new != x_i {
-                sizes[dense] = x_new;
-                self.sched.push_changed(dense);
-            }
-            worst = worst.max(rel);
-            self.sched.note_resize(dense, rel, schedule);
-        }
-        self.sched.rebuild_active();
-        (worst, n)
-    }
-
-    /// One active-set sweep: incremental evaluation for the components that
-    /// moved last sweep, then the closed-form resize over the active
-    /// frontier only, freezing components whose calm streak reached the
-    /// threshold. Returns `(worst relative change over the frontier,
-    /// components touched)`.
-    pub(crate) fn active_sweep(
-        &mut self,
-        sizes: &mut SizeVector,
-        beta: f64,
-        gamma: f64,
-        schedule: &AdaptiveSchedule,
-    ) -> (f64, usize) {
-        self.incremental_eval(sizes, schedule);
-        let touched = self.sched.active.len();
-        let mut worst = 0.0_f64;
-        let mut write = 0usize;
-        // Lane-blocked frontier resize under a `Level` policy: gather up to
-        // LANES active components per block (the compute reads only
-        // pass-fixed tables and each component's own size), then run the
-        // calm/freeze bookkeeping and the in-place active-list compaction
-        // strictly in frontier order — every transition, record and the
-        // compacted list are exactly those of the scalar loop below, which
-        // stays the sequential-policy oracle. The compaction write cursor
-        // never overtakes the block's read positions (the gathered values
-        // are already copied out).
-        if self.par.active() {
-            let tables = ResizeTables {
-                is_wire: &self.comp_is_wire,
-                wire_mask: &self.wire_mask,
-                unit_resistance: &self.unit_resistance,
-                unit_capacitance: &self.unit_capacitance,
-                area_coefficient: &self.area_coefficient,
-                lower_bound: &self.lower_bound,
-                upper_bound: &self.upper_bound,
-                coupling_sum: &self.coupling_sum,
-                extra_denom: &self.extra_denom,
-                beta,
-                gamma,
-            };
-            let raw_index = &self.comp_raw_index;
-            let ws = &self.ws;
-            let sched = &mut self.sched;
-            let mut read = 0usize;
-            while read < touched {
-                let fill = LANES.min(touched - read);
-                let mut comps = [0usize; LANES];
-                let mut x = [0.0f64; LANES];
-                let mut ch = [0.0f64; LANES];
-                let mut up = [0.0f64; LANES];
-                let mut la = [0.0f64; LANES];
-                for j in 0..fill {
-                    let d = sched.active[read + j] as usize;
-                    comps[j] = d;
-                    x[j] = sizes[d];
-                    let raw = raw_index[d];
-                    ch[j] = ws.charged[raw];
-                    up[j] = ws.upstream[raw];
-                    la[j] = ws.node_weights[raw];
-                }
-                // Stale trailing lanes re-use a live in-range component;
-                // their results are discarded.
-                for j in fill..LANES {
-                    comps[j] = comps[0];
-                }
-                let (x_new, rel) = tables.closed_form_lanes(&comps, &x, &ch, &up, &la);
-                for j in 0..fill {
-                    let dense = comps[j];
-                    if x_new[j] != x[j] {
-                        sizes[dense] = x_new[j];
-                        sched.push_changed(dense);
-                    }
-                    worst = worst.max(rel[j]);
-                    let keep = if rel[j] <= schedule.freeze_tolerance {
-                        let calm = sched.calm[dense].saturating_add(1);
-                        sched.calm[dense] = calm;
-                        !(schedule.active_set && calm as usize >= schedule.freeze_after)
-                    } else {
-                        sched.calm[dense] = 0;
-                        true
-                    };
-                    if keep {
-                        sched.active[write] = dense as u32;
-                        write += 1;
-                    } else {
-                        sched.frozen[dense] = true;
-                        sched.num_frozen += 1;
-                    }
-                }
-                read += fill;
-            }
-            sched.active.truncate(write);
-            return (worst, touched);
-        }
-        for read in 0..self.sched.active.len() {
-            let dense = self.sched.active[read] as usize;
-            let x_i = sizes[dense];
-            let (x_new, rel) = self.resize_component(dense, x_i, beta, gamma);
-            if x_new != x_i {
-                sizes[dense] = x_new;
-                self.sched.push_changed(dense);
-            }
-            worst = worst.max(rel);
-            let keep = if rel <= schedule.freeze_tolerance {
-                let calm = self.sched.calm[dense].saturating_add(1);
-                self.sched.calm[dense] = calm;
-                !(schedule.active_set && calm as usize >= schedule.freeze_after)
-            } else {
-                self.sched.calm[dense] = 0;
-                true
-            };
-            if keep {
-                self.sched.active[write] = dense as u32;
-                write += 1;
-            } else {
-                self.sched.frozen[dense] = true;
-                self.sched.num_frozen += 1;
-            }
-        }
-        self.sched.active.truncate(write);
         (worst, touched)
     }
 
@@ -2202,84 +939,9 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             // instead of rebuilding.
             self.note_caps_synced(sizes);
         }
-        // Level-parallel timing: delays are per-node independent (flat
-        // chunks), arrival propagation settles levels forward; the
-        // critical-path walk over `pred` stays a sequential epilogue. Per
-        // node the arithmetic (and the `>=` tie-breaking) is exactly the
-        // sequential recurrence, so both paths are bitwise identical.
-        if self.par.active() {
-            if let Some(topo) = self.model.dense_topology(&self.state) {
-                let n = topo.num_nodes();
-                let ws = &mut self.ws;
-                assert_eq!(ws.delays.len(), n, "workspace must match the circuit");
-                assert_eq!(ws.arrival.len(), n);
-                assert_eq!(ws.pred.len(), n);
-                assert_eq!(
-                    sizes.len(),
-                    self.comp_raw_index.len(),
-                    "sizes must match the circuit"
-                );
-                let xs = sizes.as_slice();
-                {
-                    // Scatter the component sizes into the lane-padded
-                    // node-size slab once, then stream the SoA columns
-                    // (unit resistance, node size, charged) through the
-                    // 4-lane delay kernel — bitwise identical to
-                    // `delays_chunk` for every node kind.
-                    topo.fill_node_sizes(xs, &mut ws.node_size);
-                    let node_size: &[f64] = &ws.node_size;
-                    let charged: &[f64] = &ws.charged;
-                    let delays_s = SharedMut::new(ws.delays.as_mut_slice());
-                    self.par.run_flat(par::flat_chunks(n), |c| {
-                        // SAFETY: flat chunks own disjoint node ranges;
-                        // `node_size` mirrors `sizes` (filled above) and
-                        // `charged` is a downstream-caps result.
-                        unsafe {
-                            topo.delays_chunk_lanes(
-                                par::flat_range(n, c),
-                                node_size,
-                                charged,
-                                delays_s,
-                            )
-                        };
-                    });
-                }
-                {
-                    let delays: &[f64] = &ws.delays;
-                    let arrival_s = SharedMut::new(ws.arrival.as_mut_slice());
-                    let pred_s = SharedMut::new(ws.pred.as_mut_slice());
-                    let grid = &self.grid;
-                    self.par.run_leveled(grid, false, |l, c| {
-                        let level = topo.level(l);
-                        let range = grid.chunk_range(level.len(), c);
-                        // SAFETY: chunks of one level own disjoint nodes;
-                        // levels settle in forward dependency order.
-                        unsafe { topo.arrivals_chunk(&level[range], delays, arrival_s, pred_s) };
-                    });
-                }
-                let sink = self.graph.sink().index();
-                let critical_path_delay = ws.arrival[sink];
-                ws.critical_path.clear();
-                let mut cursor = ws.pred[sink];
-                while cursor != NO_PRED {
-                    ws.critical_path.push(NodeId::new(cursor));
-                    cursor = ws.pred[cursor];
-                }
-                ws.critical_path.reverse();
-                return TimingView {
-                    delays: &ws.delays,
-                    arrival: &ws.arrival,
-                    critical_path_delay,
-                    critical_path: &ws.critical_path,
-                };
-            }
-        }
         let ws = &mut self.ws;
-        self.model
-            .delays_into(&self.state, sizes, &ws.charged, &mut ws.delays);
-        let critical_path_delay = self.model.propagate_arrivals(
-            &self.state,
-            self.graph,
+        self.topo.delays_into(sizes, &ws.charged, &mut ws.delays);
+        let critical_path_delay = self.topo.propagate_arrivals(
             &ws.delays,
             &mut ws.arrival,
             &mut ws.pred,
@@ -2390,20 +1052,19 @@ mod tests {
 
         // Lower bound assembled field by field: the evaluation workspace,
         // the adaptive-schedule buffers (dirty sets, active set, incremental
-        // scratch), the eight dense f64 attribute tables plus the f64 wire
-        // mask, the raw-index and wire-flag tables, the SoA pair table
-        // (four u32 and three f64 columns) with its per-component CSR
-        // adjacency, and the model state. `memory_bytes` must cover all of
+        // scratch), the eight dense f64 attribute tables, the raw-index and
+        // wire-flag tables, the SoA pair table (four u32 and three f64
+        // columns) with its per-component CSR adjacency, and the topology. `memory_bytes` must cover all of
         // them (capacities can only exceed the lengths used here).
         let floor = engine.ws.memory_bytes()
             + engine.sched.memory_bytes()
-            + 9 * n * size_of::<f64>()
+            + 8 * n * size_of::<f64>()
             + n * size_of::<usize>()
             + n * size_of::<bool>()
             + engine.pair_table.len() * (4 * size_of::<u32>() + 3 * size_of::<f64>())
             + (n + 1) * size_of::<u32>()
             + 2 * coupling.len() * size_of::<u32>()
-            + engine.model.state_memory_bytes(&engine.state);
+            + engine.topo.memory_bytes();
         assert!(
             engine.memory_bytes() >= floor,
             "memory accounting {} must cover the per-field floor {}",
@@ -2445,48 +1106,6 @@ mod tests {
                 coupling.crosstalk_lhs(&graph, &sizes)
             );
         }
-    }
-
-    #[test]
-    fn lane_aggregates_are_epsilon_pinned_to_the_scalar_reductions() {
-        let (graph, coupling) = setup();
-        let mut engine = SizingEngine::new(&graph, &coupling);
-        let scalar: Vec<[f64; 3]> = [0.4, 1.0, 2.7]
-            .iter()
-            .map(|&s| {
-                let sizes = graph.uniform_sizes(s);
-                [
-                    engine.total_capacitance(&sizes),
-                    engine.total_area(&sizes),
-                    engine.crosstalk_lhs(&sizes),
-                ]
-            })
-            .collect();
-        engine.set_parallel(ParallelPolicy::threads(1));
-        engine.set_lane_aggregates(true);
-        for (&s, exact) in [0.4, 1.0, 2.7].iter().zip(&scalar) {
-            let sizes = graph.uniform_sizes(s);
-            let laned = [
-                engine.total_capacitance(&sizes),
-                engine.total_area(&sizes),
-                engine.crosstalk_lhs(&sizes),
-            ];
-            for (l, e) in laned.iter().zip(exact) {
-                let tol = 1e-12 * e.abs().max(1.0);
-                assert!(
-                    (l - e).abs() <= tol,
-                    "lane-blocked aggregate {l} drifted from scalar {e}"
-                );
-            }
-        }
-        // Turning the flag back off restores the bitwise-pinned scalar
-        // reduction even while the Level policy stays active.
-        engine.set_lane_aggregates(false);
-        let sizes = graph.uniform_sizes(1.0);
-        assert_eq!(
-            engine.total_capacitance(&sizes),
-            ncgws_circuit::total_capacitance(&graph, &sizes)
-        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use ncgws_circuit::{DelayModel, SizeVector};
+use ncgws_circuit::SizeVector;
 use ncgws_netlist::ProblemInstance;
 
 use crate::constraints::{lower_constraint_specs, ConstraintSet};
@@ -286,9 +286,9 @@ impl<'a> Ordered<'a> {
     ///
     /// Panics when `engine` was built for a different circuit or coupling
     /// set than this ordering (build it with [`engine`](Self::engine)).
-    pub fn size_with_engine<M: DelayModel>(
+    pub fn size_with_engine(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         warm: Option<&SizeVector>,
         control: &RunControl<'_>,
     ) -> Result<SizedOutcome, CoreError> {
@@ -344,9 +344,9 @@ impl<'a> Ordered<'a> {
     ///
     /// Panics when `engine` was built for a different circuit or coupling
     /// set than this ordering.
-    pub fn size_resume_with_engine<M: DelayModel>(
+    pub fn size_resume_with_engine(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         snapshot: &Snapshot,
         control: &RunControl<'_>,
     ) -> Result<SizedOutcome, CoreError> {
@@ -360,9 +360,9 @@ impl<'a> Ordered<'a> {
     }
 
     /// The shared stage-2 body behind every `size*` entry point.
-    fn run_sizing<M: DelayModel>(
+    fn run_sizing(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         mode: SolveMode<'_>,
         control: &RunControl<'_>,
     ) -> Result<SizedOutcome, CoreError> {
@@ -576,6 +576,27 @@ mod tests {
         assert_eq!(sized.report.iterations, 4);
         assert_eq!(sized.stop_reason(), StopReason::BudgetExhausted);
         assert_eq!(collector.count(), 4);
+    }
+
+    #[test]
+    fn an_iteration_limit_stop_above_tolerance_is_not_converged() {
+        let inst = instance(30, 70, 13);
+        let config = OptimizerConfig {
+            max_iterations: 2,
+            gap_tolerance: 1e-12,
+            ..quick_config()
+        };
+        let sized = Flow::prepare(&inst, config)
+            .unwrap()
+            .order()
+            .unwrap()
+            .size()
+            .unwrap();
+        assert_eq!(sized.report.iterations, 2);
+        assert_eq!(sized.stop_reason(), StopReason::IterationLimit);
+        assert_eq!(sized.report.stop_reason, StopReason::IterationLimit);
+        assert!(!sized.report.converged);
+        assert!(sized.report.duality_gap > 1e-12);
     }
 
     #[test]

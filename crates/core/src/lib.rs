@@ -33,12 +33,6 @@
 //!   warm-started LRS, active-set sweeps with periodic verification, and
 //!   sparse incremental evaluation — selected per run via
 //!   [`OptimizerConfig::solve_strategy`];
-//! * the **level-parallel runtime** ([`par`]): a deterministic chunk grid
-//!   over the circuit's topological level partition that distributes the
-//!   inner-loop traversals (LRS sweeps, timing, subgradient update, flow
-//!   projection) across threads with outcomes **bitwise identical for
-//!   every thread count**, selected per run via
-//!   [`OptimizerConfig::parallel`] / [`ParallelPolicy`];
 //! * the staged [`flow`] pipeline — `prepare → order → size` as typestates
 //!   with inspectable intermediates, warm starts, and the legacy one-shot
 //!   [`Optimizer`] as a thin wrapper;
@@ -50,7 +44,9 @@
 //!   [`CheckpointPolicy`], re-entered via
 //!   [`Ordered::size_resume`](flow::Ordered::size_resume) — the substrate
 //!   of the `ncgws-serve` job queue;
-//! * batch execution of many instances across threads ([`batch`]);
+//! * batch execution of many instances across threads ([`batch`]) — the
+//!   crate's parallelism is per job; one solve's stage 2 always runs on
+//!   the calling thread (see [`ParallelPolicy`]);
 //! * baselines for ablations: delay/area-only Lagrangian sizing and a greedy
 //!   sensitivity-based sizer ([`baseline`]);
 //! * metrics, reporting and memory accounting for the Table 1 / Figure 10
@@ -73,7 +69,6 @@ pub mod lrs;
 pub mod metrics;
 pub mod ogws;
 pub mod optimizer;
-pub mod par;
 pub mod problem;
 pub mod projection;
 pub mod reference;
@@ -101,8 +96,9 @@ pub use lrs::{LrsOutcome, LrsSolver, LrsStats};
 pub use metrics::{CircuitMetrics, IterationRecord, MemoryBreakdown};
 pub use ogws::{OgwsOutcome, OgwsSolver};
 pub use optimizer::{OptimizationOutcome, Optimizer};
-pub use par::ParallelPolicy;
-pub use problem::{ConstraintBounds, OptimizerConfig, OptimizerConfigBuilder, SizingProblem};
+pub use problem::{
+    ConstraintBounds, OptimizerConfig, OptimizerConfigBuilder, ParallelPolicy, SizingProblem,
+};
 pub use report::{Improvements, OptimizationReport};
 pub use schedule::{AdaptiveSchedule, ScheduleState, ScheduledStats, SolveStrategy};
 pub use snapshot::Snapshot;

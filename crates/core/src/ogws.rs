@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use ncgws_circuit::{DelayModel, NodeKind, SharedMut, SizeVector};
+use ncgws_circuit::{NodeKind, SizeVector};
 use serde::{Deserialize, Serialize};
 
 use crate::constraints::ConstraintFamily;
@@ -28,11 +28,8 @@ use crate::engine::SizingEngine;
 use crate::lagrangian::{dual_value_from_parts, Multipliers};
 use crate::lrs::LrsSolver;
 use crate::metrics::IterationRecord;
-use crate::par::{self, ParRuntime};
 use crate::problem::{OptimizerConfig, SizingProblem};
-use crate::projection::{
-    project_flow_conservation_indexed, project_flow_conservation_leveled, FlowIndex,
-};
+use crate::projection::{project_flow_conservation_indexed, FlowIndex};
 use crate::schedule::{ScheduleState, SolveStrategy};
 use crate::snapshot::{Snapshot, SNAPSHOT_FORMAT};
 
@@ -169,10 +166,10 @@ impl OgwsSolver {
     /// Panics when the engine is bound to a different circuit or coupling
     /// set than `problem` (the check is two pointer comparisons, free
     /// relative to a solve, and a mismatch would silently produce garbage).
-    pub fn solve_with<M: DelayModel>(
+    pub fn solve_with(
         &self,
         problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
     ) -> OgwsOutcome {
         self.solve_controlled(problem, engine, None, &RunControl::new())
     }
@@ -201,10 +198,10 @@ impl OgwsSolver {
     ///
     /// Panics when the engine is bound to a different circuit or coupling
     /// set than `problem`, or when `warm_start` has the wrong length.
-    pub fn solve_controlled<M: DelayModel>(
+    pub fn solve_controlled(
         &self,
         problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         warm_start: Option<&SizeVector>,
         control: &RunControl<'_>,
     ) -> OgwsOutcome {
@@ -234,10 +231,10 @@ impl OgwsSolver {
     /// problem (see [`Snapshot::validate_for`]). Fallible validation lives
     /// at the flow layer
     /// ([`Ordered::size_resume`](crate::flow::Ordered::size_resume)).
-    pub fn solve_resumed<M: DelayModel>(
+    pub fn solve_resumed(
         &self,
         problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         snapshot: &Snapshot,
         control: &RunControl<'_>,
     ) -> OgwsOutcome {
@@ -247,10 +244,10 @@ impl OgwsSolver {
         self.solve_impl(problem, engine, None, Some(snapshot), control)
     }
 
-    fn solve_impl<M: DelayModel>(
+    fn solve_impl(
         &self,
         problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         warm_start: Option<&SizeVector>,
         resume: Option<&Snapshot>,
         control: &RunControl<'_>,
@@ -266,12 +263,6 @@ impl OgwsSolver {
         let graph = problem.graph;
         let bounds = problem.bounds;
         let extras = &problem.extras;
-        // Apply the configuration's parallel policy for the whole run. Under
-        // `ParallelPolicy::Level` every traversal (LRS sweeps, timing,
-        // subgradient update, flow projection) runs over the fixed chunk
-        // grid, bitwise identical for every thread count; `Sequential` (the
-        // default) keeps the single-threaded paths untouched.
-        engine.set_parallel(self.config.parallel);
         let lrs = LrsSolver::new(self.config.max_lrs_sweeps, self.config.lrs_tolerance);
         // The adaptive schedule keeps freeze/cache state on the engine
         // across the solves of one run; start every run clean so engines
@@ -283,11 +274,6 @@ impl OgwsSolver {
                 Some(*schedule)
             }
         };
-        // Lane-blocked aggregate reductions ride the adaptive strategy's
-        // epsilon-pinned contract; the exact strategy keeps the strictly
-        // ordered scalar reductions bitwise-pinned to `crate::reference`
-        // under every parallel policy.
-        engine.set_lane_aggregates(adaptive.is_some());
         // A resumed adaptive run carries the interrupted run's freeze sets
         // and verification cadence forward (after the reset above wiped any
         // leaked state).
@@ -523,10 +509,7 @@ impl OgwsSolver {
             stagnant = if improved { 0 } else { stagnant + 1 };
 
             // A4: subgradient step on every multiplier, normalized
-            // violations. Each node updates only its own fanin multipliers,
-            // so the walk distributes over flat chunks with bitwise-
-            // identical results (the engine's runtime runs it sequentially
-            // under the default policy).
+            // violations.
             let step = self.config.step_schedule.value(k);
             Self::update_multipliers(
                 problem,
@@ -538,23 +521,9 @@ impl OgwsSolver {
                 power_violation,
                 crosstalk_violation,
                 &extra_violations,
-                engine.par_runtime(),
             );
-            // A5: project back onto the optimality condition — level-
-            // parallel (reverse dependency order) when the engine exposes
-            // its grid, the sequential walk otherwise; bitwise identical
-            // either way.
-            match engine.level_ctx() {
-                Some((topo, grid)) => project_flow_conservation_leveled(
-                    graph,
-                    &flow_index,
-                    &mut multipliers,
-                    topo,
-                    grid,
-                    engine.par_runtime(),
-                ),
-                None => project_flow_conservation_indexed(graph, &flow_index, &mut multipliers),
-            }
+            // A5: project back onto the optimality condition.
+            project_flow_conservation_indexed(graph, &flow_index, &mut multipliers);
 
             iterations.push(IterationRecord {
                 iteration: k,
@@ -711,10 +680,6 @@ impl OgwsSolver {
     /// `arrival` and `delays` are indexed by raw node index;
     /// `extra_violations` is flattened in family order (as produced by
     /// [`ConstraintSet::violations_into`](crate::ConstraintSet::violations_into)).
-    /// The per-edge walk runs through `par` (flat chunks over the nodes):
-    /// each node writes only its own fanin slots and reads only the fixed
-    /// arrival/delay tables, so the distributed walk is bitwise identical
-    /// to the sequential one at every thread count.
     #[allow(clippy::too_many_arguments)]
     fn update_multipliers(
         problem: &SizingProblem<'_>,
@@ -726,7 +691,6 @@ impl OgwsSolver {
         power_violation: f64,
         crosstalk_violation: f64,
         extra_violations: &[f64],
-        par: &ParRuntime,
     ) {
         let graph = problem.graph;
         let bounds = problem.bounds;
@@ -755,39 +719,29 @@ impl OgwsSolver {
         {
             let (offsets, values) = multipliers.flat_mut();
             assert_eq!(offsets.len(), n + 1, "multipliers must match the circuit");
-            let values_s = SharedMut::new(values);
-            par.run_flat(par::flat_chunks(n), |chunk| {
-                for i in par::flat_range(n, chunk) {
-                    if i == source {
-                        continue;
-                    }
-                    let kind = kinds[i];
-                    let fanin = index.fanin_flat(i);
-                    let base = offsets[i] as usize;
-                    for (slot, &j) in fanin.iter().enumerate() {
-                        let j = j as usize;
-                        let violation = match kind {
-                            NodeKind::Sink => arrival[j] - a0,
-                            NodeKind::Gate(_) | NodeKind::Wire => {
-                                if j == source {
-                                    continue;
-                                }
-                                arrival[j] + delays[i] - arrival[i]
-                            }
-                            NodeKind::Driver => delays[i] - arrival[i],
-                            NodeKind::Source => continue,
-                        };
-                        // SAFETY: slot `base + slot` belongs to node `i`'s
-                        // fanin range, written by this chunk only.
-                        unsafe {
-                            values_s.set(
-                                base + slot,
-                                bumped(values_s.get(base + slot), violation / a0),
-                            )
-                        };
-                    }
+            for i in 0..n {
+                if i == source {
+                    continue;
                 }
-            });
+                let kind = kinds[i];
+                let fanin = index.fanin_flat(i);
+                let base = offsets[i] as usize;
+                for (slot, &j) in fanin.iter().enumerate() {
+                    let j = j as usize;
+                    let violation = match kind {
+                        NodeKind::Sink => arrival[j] - a0,
+                        NodeKind::Gate(_) | NodeKind::Wire => {
+                            if j == source {
+                                continue;
+                            }
+                            arrival[j] + delays[i] - arrival[i]
+                        }
+                        NodeKind::Driver => delays[i] - arrival[i],
+                        NodeKind::Source => continue,
+                    };
+                    values[base + slot] = bumped(values[base + slot], violation / a0);
+                }
+            }
         }
         let bump = |value: &mut f64, relative_violation: f64| {
             *value = bumped(*value, relative_violation);

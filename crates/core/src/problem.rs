@@ -8,10 +8,76 @@ use crate::constraints::{ConstraintSet, ConstraintSpec};
 use crate::coupling_build::OrderingStrategy;
 use crate::error::CoreError;
 use crate::metrics::CircuitMetrics;
-use crate::par::ParallelPolicy;
 use crate::schedule::{AdaptiveSchedule, SolveStrategy};
 use crate::step::StepSchedule;
 use crate::units;
+
+/// The recorded thread policy of the stage-2 inner loop, carried by
+/// [`OptimizerConfig::parallel`] and by serialized job specs.
+///
+/// Stage 2 runs on the calling thread under every value, so the policy
+/// never changes an outcome: `Sequential` and `Level { threads }` give
+/// bitwise-identical results for every thread count. Parallelism lives at
+/// the job level instead ([`BatchRunner`](crate::BatchRunner), the serving
+/// layer's workers, and the stage-1 channel fan-out of the `parallel`
+/// feature).
+///
+/// ```
+/// use ncgws_core::{OptimizerConfig, ParallelPolicy};
+///
+/// let config = OptimizerConfig::builder()
+///     .threads(4)
+///     .build()
+///     .expect("valid configuration");
+/// assert_eq!(config.parallel, ParallelPolicy::Level { threads: 4 });
+///
+/// // Still validated, so a corrupt job spec is caught at decode time.
+/// assert!(OptimizerConfig::builder().threads(1 << 20).build().is_err());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ParallelPolicy {
+    /// One thread (the default).
+    Sequential,
+    /// The former level-parallel policy; runs exactly as `Sequential`.
+    Level {
+        /// Requested worker count (`0` = auto); validated, otherwise
+        /// unused.
+        threads: usize,
+    },
+}
+
+// Not derived: `#[derive(Default)]` on an enum needs a `#[default]` variant
+// attribute, which the vendored serde derive cannot parse past.
+#[allow(clippy::derivable_impls)]
+impl Default for ParallelPolicy {
+    fn default() -> Self {
+        ParallelPolicy::Sequential
+    }
+}
+
+impl ParallelPolicy {
+    /// The `Level` policy with `threads` workers (`0` = auto).
+    pub fn threads(threads: usize) -> Self {
+        ParallelPolicy::Level { threads }
+    }
+
+    /// Validates the policy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] for an absurd worker count.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        if let ParallelPolicy::Level { threads } = self {
+            if *threads > 4096 {
+                return Err(CoreError::InvalidConfig {
+                    name: "parallel.threads",
+                    reason: format!("{threads} workers is beyond any machine this targets"),
+                });
+            }
+        }
+        Ok(())
+    }
+}
 
 /// Absolute constraint bounds of problem `PP`.
 ///
@@ -148,14 +214,10 @@ pub struct OptimizerConfig {
     /// [`SolveStrategy::Adaptive`] enables warm-started solves, active-set
     /// sweeps and sparse incremental evaluation (see [`crate::schedule`]).
     pub solve_strategy: SolveStrategy,
-    /// How the stage-2 inner loop distributes its traversals across threads
-    /// (see [`crate::par`]): [`ParallelPolicy::Sequential`] (the default)
-    /// keeps the single-threaded traversals;
-    /// [`ParallelPolicy::Level`] runs them level-parallel over a fixed
-    /// chunk grid, with outcomes **bitwise identical for every thread
-    /// count** and the exact solve strategy still bitwise-pinned to
-    /// [`crate::reference`]. Takes effect with the `parallel` feature;
-    /// without it the same deterministic grid runs on one thread.
+    /// The recorded thread policy of the stage-2 inner loop (see
+    /// [`ParallelPolicy`]). It is validated and serialized, but stage 2
+    /// runs on the calling thread under every value, so it never changes
+    /// an outcome.
     pub parallel: ParallelPolicy,
 }
 
@@ -396,17 +458,15 @@ impl OptimizerConfigBuilder {
         self.solve_strategy(SolveStrategy::Adaptive(AdaptiveSchedule::default()))
     }
 
-    /// How the stage-2 inner loop distributes its traversals across threads
-    /// (see [`crate::par`] and [`ParallelPolicy`]).
+    /// Records the stage-2 thread policy (see [`ParallelPolicy`]; stage 2
+    /// runs on the calling thread under every value).
     pub fn parallel(mut self, policy: ParallelPolicy) -> Self {
         self.config.parallel = policy;
         self
     }
 
-    /// Runs the inner loop level-parallel on `threads` workers (`0` = the
-    /// machine's available parallelism) — shorthand for
-    /// `parallel(ParallelPolicy::threads(threads))`. Outcomes are bitwise
-    /// identical for every thread count; see [`crate::par`].
+    /// Shorthand for `parallel(ParallelPolicy::threads(threads))`; outcomes
+    /// are identical for every thread count.
     pub fn threads(self, threads: usize) -> Self {
         self.parallel(ParallelPolicy::threads(threads))
     }
@@ -506,6 +566,34 @@ impl<'a> SizingProblem<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parallel_policy_validation() {
+        assert_eq!(ParallelPolicy::default(), ParallelPolicy::Sequential);
+        assert!(ParallelPolicy::threads(8).validate().is_ok());
+        assert!(ParallelPolicy::Sequential.validate().is_ok());
+        assert!(ParallelPolicy::threads(100_000).validate().is_err());
+    }
+
+    #[test]
+    fn builder_records_the_thread_policy_and_rejects_absurd_counts() {
+        let auto = OptimizerConfig::builder().threads(0).build().unwrap();
+        assert_eq!(auto.parallel, ParallelPolicy::Level { threads: 0 });
+        let sequential = OptimizerConfig::builder()
+            .threads(2)
+            .parallel(ParallelPolicy::Sequential)
+            .build()
+            .unwrap();
+        assert_eq!(sequential.parallel, ParallelPolicy::Sequential);
+        assert!(matches!(
+            OptimizerConfig::builder().threads(4097).build(),
+            Err(CoreError::InvalidConfig {
+                name: "parallel.threads",
+                ..
+            })
+        ));
+        assert!(OptimizerConfig::builder().threads(4096).build().is_ok());
+    }
 
     #[test]
     fn default_config_is_valid() {

@@ -17,10 +17,9 @@
 //! is distributed evenly. The sink's incoming multipliers are the free
 //! variables of the flow and are left untouched.
 
-use ncgws_circuit::{CircuitGraph, CircuitTopology, NodeKind, SharedMut};
+use ncgws_circuit::{CircuitGraph, NodeKind};
 
 use crate::lagrangian::Multipliers;
-use crate::par::{LevelGrid, ParRuntime};
 
 /// Precomputed dense view of the graph structure the OGWS outer loop walks
 /// every iteration: for every node, the positions (in the
@@ -172,76 +171,6 @@ pub fn project_flow_conservation_indexed(
             }
         }
     }
-}
-
-/// [`project_flow_conservation_indexed`] distributed over the level grid
-/// (step A5 under [`ParallelPolicy::Level`](crate::ParallelPolicy)):
-/// levels settle in reverse dependency order, and within a level each node
-/// rescales only its own fanin slots while reading its fanout nodes'
-/// already-settled slots — so chunks of one level never touch the same
-/// multiplier and the per-node arithmetic (slot-order sums, the same
-/// rescale expressions) is exactly the sequential walk's. Results are
-/// bitwise identical to the sequential projection for every thread count.
-pub(crate) fn project_flow_conservation_leveled(
-    graph: &CircuitGraph,
-    index: &FlowIndex,
-    multipliers: &mut Multipliers,
-    topo: &CircuitTopology,
-    grid: &LevelGrid,
-    par: &ParRuntime,
-) {
-    multipliers.clamp_non_negative();
-    let sink = graph.sink().index();
-    let source = graph.source().index();
-    let n = graph.num_nodes();
-    let (offsets, values) = multipliers.flat_mut();
-    assert_eq!(offsets.len(), n + 1, "multipliers must match the circuit");
-    assert_eq!(index.out_start.len(), n + 1, "index must match the circuit");
-    assert_eq!(topo.num_nodes(), n, "topology must match the circuit");
-    let values_s = SharedMut::new(values);
-    par.run_leveled(grid, true, |l, c| {
-        let level = topo.level(l);
-        let range = grid.chunk_range(level.len(), c);
-        for &idx in &level[range] {
-            let idx = idx as usize;
-            if idx == sink || idx == source {
-                continue;
-            }
-            // SAFETY: this chunk owns node `idx`: its fanin slots
-            // (`offsets[idx]..offsets[idx+1]`) are written by no other node,
-            // and the out positions it reads are fanin slots of *fanout*
-            // nodes — strictly higher levels, settled before this level
-            // started and never written concurrently.
-            unsafe {
-                let mut out_sum = 0.0;
-                for &pos in
-                    &index.out_pos[index.out_start[idx] as usize..index.out_start[idx + 1] as usize]
-                {
-                    out_sum += values_s.get(pos as usize);
-                }
-                let lo = offsets[idx] as usize;
-                let hi = offsets[idx + 1] as usize;
-                if lo == hi {
-                    continue;
-                }
-                let mut in_sum = 0.0;
-                for slot in lo..hi {
-                    in_sum += values_s.get(slot);
-                }
-                if in_sum > 1e-300 {
-                    let scale = out_sum / in_sum;
-                    for slot in lo..hi {
-                        values_s.set(slot, values_s.get(slot) * scale);
-                    }
-                } else {
-                    let share = out_sum / (hi - lo) as f64;
-                    for slot in lo..hi {
-                        values_s.set(slot, share);
-                    }
-                }
-            }
-        }
-    });
 }
 
 /// Maximum absolute flow-conservation residual

@@ -99,10 +99,14 @@ impl OptimizationReport {
         self.num_gates + self.num_wires
     }
 
-    /// Renders the report as one row in the style of the paper's Table 1.
+    /// Renders the report as one row in the style of the paper's Table 1,
+    /// followed by the final duality gap (%), whether it reached the
+    /// configured tolerance (`yes`/`no`), and the stop reason — so a run
+    /// that stagnated or ran out of iterations above tolerance shows as not
+    /// converged even when its last iterate is feasible.
     pub fn table1_row(&self) -> String {
         format!(
-            "{:<8} {:>6} {:>6} {:>6} {:>9.2} {:>8.2} {:>9.2} {:>9.2} {:>9.2} {:>8.2} {:>10.0} {:>9.0} {:>4} {:>8.1} {:>8.0}",
+            "{:<8} {:>6} {:>6} {:>6} {:>9.2} {:>8.2} {:>9.2} {:>9.2} {:>9.2} {:>8.2} {:>10.0} {:>9.0} {:>4} {:>8.1} {:>8.0} {:>8.2} {:>4} {:<16}",
             self.name,
             self.num_gates,
             self.num_wires,
@@ -118,15 +122,18 @@ impl OptimizationReport {
             self.iterations,
             self.runtime_seconds,
             self.memory.total() as f64 / 1024.0,
+            self.duality_gap * 100.0,
+            if self.converged { "yes" } else { "no" },
+            self.stop_reason.to_string(),
         )
     }
 
     /// The header matching [`table1_row`](Self::table1_row).
     pub fn table1_header() -> String {
         format!(
-            "{:<8} {:>6} {:>6} {:>6} {:>9} {:>8} {:>9} {:>9} {:>9} {:>8} {:>10} {:>9} {:>4} {:>8} {:>8}",
+            "{:<8} {:>6} {:>6} {:>6} {:>9} {:>8} {:>9} {:>9} {:>9} {:>8} {:>10} {:>9} {:>4} {:>8} {:>8} {:>8} {:>4} {:<16}",
             "Ckt", "#G", "#W", "tot", "NoiseI", "NoiseF", "DelayI", "DelayF", "PowerI", "PowerF",
-            "AreaI", "AreaF", "ite", "time(s)", "mem(KB)"
+            "AreaI", "AreaF", "ite", "time(s)", "mem(KB)", "gap(%)", "conv", "stop"
         )
     }
 }
@@ -241,6 +248,45 @@ mod tests {
         assert_eq!(
             header.split_whitespace().count(),
             row.split_whitespace().count()
+        );
+    }
+
+    #[test]
+    fn a_stagnated_run_above_tolerance_prints_as_not_converged() {
+        let mut r = report("c880", 0.2);
+        r.feasible = true;
+        r.converged = false;
+        r.stop_reason = StopReason::Stagnated;
+        r.duality_gap = 0.0297;
+        let row = r.table1_row();
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(&cells[cells.len() - 3..], ["2.97", "no", "stagnated"]);
+
+        r.converged = true;
+        r.stop_reason = StopReason::Converged;
+        r.duality_gap = 0.004;
+        let row = r.table1_row();
+        assert!(row.trim_end().ends_with("0.40  yes converged"), "{row}");
+    }
+
+    #[test]
+    fn an_iteration_limit_stop_above_tolerance_prints_as_not_converged() {
+        let mut r = report("c432", 0.5);
+        r.feasible = true;
+        r.converged = false;
+        r.stop_reason = StopReason::IterationLimit;
+        r.duality_gap = 0.1466;
+        let row = r.table1_row();
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(
+            &cells[cells.len() - 3..],
+            ["14.66", "no", "iteration-limit"]
+        );
+        assert_eq!(
+            OptimizationReport::table1_header()
+                .split_whitespace()
+                .count(),
+            cells.len()
         );
     }
 

@@ -28,7 +28,7 @@
 //!   downstream capacitances, λ-weighted upstream resistances and coupling
 //!   loads are brought up to date by scattering the deltas of the resized
 //!   components along the fanin/fanout DAG and the coupling-pair adjacency
-//!   ([`DelayModel::downstream_caps_update`](ncgws_circuit::DelayModel::downstream_caps_update)),
+//!   ([`CircuitTopology::downstream_caps_update`](ncgws_circuit::CircuitTopology::downstream_caps_update)),
 //!   instead of rebuilding all three tables from scratch.
 //!
 //! [`SolveStrategy::Exact`] (the default) leaves the Figure-8 schedule
@@ -38,15 +38,11 @@
 //! reported duality gap is no worse, and the KKT residuals match — see the
 //! `schedule_strategies` integration tests.
 //!
-//! Both schedules are orthogonal to the **parallel policy**
-//! ([`crate::par`], [`OptimizerConfig::parallel`](crate::OptimizerConfig)):
-//! under [`ParallelPolicy::Level`](crate::ParallelPolicy) the fused
-//! Gauss–Seidel passes, the exact sweeps and the timing evaluations run
-//! level-parallel over a fixed chunk grid, with outcomes bitwise identical
-//! across thread counts (the `thread_determinism` integration tests pin
-//! this, including the exact path's reference pinning).
+//! Both schedules run on the calling thread under every
+//! [`ParallelPolicy`](crate::ParallelPolicy), so the policy never changes
+//! an outcome (the `thread_determinism` integration test pins this).
 
-use ncgws_circuit::{IncrementalWorkspace, SharedMut};
+use ncgws_circuit::IncrementalWorkspace;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
@@ -309,45 +305,15 @@ impl ScheduleWorkspace {
     /// resets the streak and unfreezes.
     #[inline(always)]
     pub(crate) fn note_resize(&mut self, comp: usize, rel: f64, schedule: &AdaptiveSchedule) {
-        // SAFETY: exclusive borrows of the whole arrays, single-threaded.
-        unsafe {
-            Self::note_resize_shared(
-                SharedMut::new(&mut self.calm),
-                SharedMut::new(&mut self.frozen),
-                comp,
-                rel,
-                schedule,
-            );
-        }
-    }
-
-    /// The canonical calm/freeze rule behind
-    /// [`note_resize`](Self::note_resize), over shared per-component views —
-    /// the form the level-parallel fused sweeps use, where each chunk owns a
-    /// disjoint component set. Kept in one place so the sequential and
-    /// chunk-parallel schedules can never diverge.
-    ///
-    /// # Safety
-    ///
-    /// `comp` is in range and no other borrower concurrently accesses its
-    /// `calm`/`frozen` entries (see [`SharedMut`]).
-    #[inline(always)]
-    pub(crate) unsafe fn note_resize_shared(
-        calm: SharedMut<'_, u32>,
-        frozen: SharedMut<'_, bool>,
-        comp: usize,
-        rel: f64,
-        schedule: &AdaptiveSchedule,
-    ) {
         if rel <= schedule.freeze_tolerance {
-            let streak = calm.get(comp).saturating_add(1);
-            calm.set(comp, streak);
+            let streak = self.calm[comp].saturating_add(1);
+            self.calm[comp] = streak;
             if schedule.active_set && streak as usize >= schedule.freeze_after {
-                frozen.set(comp, true);
+                self.frozen[comp] = true;
             }
         } else {
-            calm.set(comp, 0);
-            frozen.set(comp, false);
+            self.calm[comp] = 0;
+            self.frozen[comp] = false;
         }
     }
 

@@ -80,10 +80,8 @@ pub fn xl_specs() -> Vec<CircuitSpec> {
 /// unbounded locality window, so gate inputs are drawn uniformly from all
 /// earlier gates and the logic depth grows only logarithmically. Where
 /// [`xl_spec`] produces deep, chain-like circuits (~0.6 topological levels
-/// per node — the worst case for any dependency-ordered traversal), this
-/// shape concentrates the nodes in a few hundred wide levels, which is what
-/// the level-parallel solve paths (`ncgws-core`'s `ParallelPolicy::Level`)
-/// scale on. Used by the `threads` scaling benchmarks.
+/// per node), this shape concentrates the nodes in a few hundred wide
+/// levels. Used by the wide-circuit benchmark workloads.
 pub fn xl_wide_spec(total_components: usize) -> CircuitSpec {
     let mut spec = xl_spec(total_components).with_locality_window(usize::MAX);
     spec.name = format!("xlw{}", total_components / 1000);

@@ -49,8 +49,7 @@ pub struct CircuitSpec {
     /// `usize::MAX` switches the generator into *wide* mode — inputs drawn
     /// uniformly from **all** earlier gates and no eager fanout guarantee —
     /// producing shallow circuits whose logic depth grows only
-    /// logarithmically, the shape that exercises level-parallel
-    /// traversals. Every finite value (including the default, 64, and
+    /// logarithmically. Every finite value (including the default, 64, and
     /// values exceeding the gate count) keeps the historical generation
     /// path, so existing seeds reproduce bit for bit.
     pub locality_window: usize,

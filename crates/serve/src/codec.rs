@@ -602,6 +602,36 @@ mod tests {
     }
 
     #[test]
+    fn journaled_thread_policies_keep_decoding() {
+        for policy in [
+            ParallelPolicy::Sequential,
+            ParallelPolicy::threads(0),
+            ParallelPolicy::threads(3),
+        ] {
+            let config = OptimizerConfig {
+                parallel: policy,
+                ..OptimizerConfig::default()
+            };
+            let spec = JobSpec::new(JobInput::Synthetic(CircuitSpec::new("rt", 10, 5)), config);
+            assert_eq!(round_trip_spec(&spec).config.parallel, policy);
+        }
+
+        // Decoding re-validates: an absurd worker count is an error.
+        let spec = JobSpec::new(
+            JobInput::Synthetic(CircuitSpec::new("rt", 10, 5)),
+            OptimizerConfig {
+                parallel: ParallelPolicy::threads(3),
+                ..OptimizerConfig::default()
+            },
+        );
+        let encoded = serde_json::to_string(&spec).unwrap();
+        let mangled = encoded.replacen("\"threads\":3", "\"threads\":100000", 1);
+        assert_ne!(mangled, encoded);
+        let value = json::parse(&mangled).unwrap();
+        assert!(decode_job_spec(&value).is_err());
+    }
+
+    #[test]
     fn stop_reasons_round_trip() {
         for reason in [
             StopReason::Converged,

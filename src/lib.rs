@@ -186,32 +186,29 @@
 //!
 //! # Parallelism
 //!
-//! The stage-2 inner loop can run **level-parallel**
-//! ([`ncgws_core::par`]): the engine caches the circuit's topological
-//! level partition (nodes of one level share no fanin/fanout edge), chops
-//! every level into fixed-width chunks, and distributes the chunks — of
-//! the fused Gauss–Seidel sweeps, the exact sweeps, the timing evaluation,
-//! the channel-sharded coupling scatter, the subgradient update and the
-//! flow projection — across a persistent `std::thread` pool. The work
-//! grid is fixed by the data, never by the thread count, and every
-//! cross-chunk reduction merges in fixed chunk order, so outcomes are
-//! **bitwise identical for `threads` ∈ {1, 2, 8, …}** and the exact solve
-//! strategy stays bitwise-pinned to `ncgws_core::reference`
-//! (`tests/thread_determinism.rs` proptests both claims).
+//! Parallelism is per job, never inside one solve. [`BatchRunner`] and the
+//! serving layer's workers run many instances at once, and with the
+//! `parallel` cargo feature stage 1 orders its routing channels across
+//! threads. Stage 2 of one instance — every LRS sweep, timing pass,
+//! subgradient step and flow projection — is one sequential walk of the
+//! circuit on the calling thread, one implementation per solve strategy.
 //!
-//! Select it with [`OptimizerConfigBuilder::threads`](core::OptimizerConfigBuilder::threads)
-//! (or [`OptimizerConfig::parallel`](core::OptimizerConfig) /
-//! [`ParallelPolicy`]); `0` means "use the machine's available
-//! parallelism". OS threads only spawn with the `parallel` cargo feature —
-//! without it the identical chunk grid runs on the calling thread, so a
-//! serial build is a bit-for-bit oracle for a threaded one. Level
-//! parallelism pays off on *wide* circuits (many components per level);
-//! on chain-like circuits the critical path is the whole circuit and the
-//! default [`ParallelPolicy::Sequential`] is the better choice.
+//! Intra-solve threading and 4-lane kernels were tried and removed: on a
+//! 2-vCPU Xeon, the stage-2 median of an adaptive run on
+//! `xl_wide_spec(100_000)` (9 iterations, three runs) was 0.293 / 0.329 /
+//! 0.464 s sequential against 0.273 / 0.302 / 0.488 s at two threads —
+//! 0.95–1.08×, inside the run-to-run noise — and on the ten Table-1
+//! circuits (exact strategy) the sequential path took 2.63 s against
+//! 3.46 s for the laned grid on one thread and 4.34 s on two.
+//!
+//! [`ParallelPolicy`] and
+//! [`OptimizerConfigBuilder::threads`](core::OptimizerConfigBuilder::threads)
+//! remain so serialized configurations and job specs keep decoding; they
+//! are validated, but every value gives bitwise the same result:
 //!
 //! ```rust
 //! use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
-//! use ncgws::core::{OptimizerConfig, ParallelPolicy};
+//! use ncgws::core::OptimizerConfig;
 //! use ncgws::Flow;
 //!
 //! # fn main() -> Result<(), ncgws::Error> {
@@ -221,100 +218,29 @@
 //! let sized_at = |threads: usize| -> Result<_, ncgws::Error> {
 //!     let config = OptimizerConfig::builder()
 //!         .max_iterations(30)
-//!         .threads(threads) // ParallelPolicy::Level { threads }
+//!         .threads(threads)
 //!         .build()?;
 //!     Ok(Flow::prepare(&instance, config)?.order()?.size()?)
 //! };
 //!
-//! // The determinism guarantee: 1, 2 and 8 workers produce the exact
-//! // same sizes, metrics and duality gap, bit for bit.
 //! let one = sized_at(1)?;
-//! let two = sized_at(2)?;
 //! let eight = sized_at(8)?;
-//! assert_eq!(one.sizes(), two.sizes());
 //! assert_eq!(one.sizes(), eight.sizes());
 //! assert_eq!(one.report.final_metrics, eight.report.final_metrics);
-//! assert_eq!(ParallelPolicy::threads(2), ParallelPolicy::Level { threads: 2 });
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! # Vectorized kernels
+//! # Static analysis
 //!
-//! Under any [`ParallelPolicy::Level`](core::ParallelPolicy) run — including
-//! `threads(1)` on the calling thread — the engine stores per-node
-//! electrical state (sizes, charged/presented capacitance, delays, upstream
-//! resistance) as structure-of-arrays `Vec<f64>` slabs aligned to the
-//! 256-node chunk grid, streams precomputed per-edge descriptor columns
-//! instead of gathering node attributes through every fanout/fanin index,
-//! and evaluates the hot kernels — the Theorem-5 closed-form resize, the
-//! delay evaluation, the aggregate reductions — in explicit 4-lane
-//! `[f64; 4]` blocks with scalar tails (no nightly `std::simd`, no
-//! dependencies). `ParallelPolicy::Sequential` keeps the untouched scalar
-//! path and serves as the oracle. Two numeric contracts, pinned by
-//! `tests/property_simd_kernels.rs`:
-//!
-//! * kernels that preserve the scalar reduction order (the fused sweeps,
-//!   the closed form, the delay lanes) are **bitwise identical** to the
-//!   oracle — the exact solve strategy runs only these;
-//! * the lane-blocked aggregate reductions (adaptive strategy only)
-//!   reassociate partial sums and carry a **1e-6** end-to-end contract.
-//!
-//! ```rust
-//! use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
-//! use ncgws::core::{OptimizerConfig, ParallelPolicy, SolveStrategy};
-//! use ncgws::Flow;
-//!
-//! # fn main() -> Result<(), ncgws::Error> {
-//! let spec = CircuitSpec::new("simd", 28, 60).with_seed(13).with_num_patterns(8);
-//! let instance = SyntheticGenerator::new(spec).generate()?;
-//!
-//! let sized = |strategy: SolveStrategy, parallel: ParallelPolicy| {
-//!     let config = OptimizerConfig::builder()
-//!         .max_iterations(30)
-//!         .solve_strategy(strategy)
-//!         .parallel(parallel)
-//!         .build()?;
-//!     Flow::prepare(&instance, config)?.order()?.size()
-//! };
-//!
-//! // Exact strategy: the laned grid is bitwise the scalar oracle.
-//! let oracle = sized(SolveStrategy::Exact, ParallelPolicy::Sequential)?;
-//! let laned = sized(SolveStrategy::Exact, ParallelPolicy::threads(1))?;
-//! assert_eq!(oracle.sizes(), laned.sizes());
-//! assert_eq!(oracle.report.final_metrics, laned.report.final_metrics);
-//!
-//! // Adaptive strategy: lane-blocked aggregates, 1e-6 contract.
-//! let oracle = sized(SolveStrategy::adaptive(), ParallelPolicy::Sequential)?;
-//! let laned = sized(SolveStrategy::adaptive(), ParallelPolicy::threads(1))?;
-//! let (a, b) = (oracle.report.final_metrics.area_um2, laned.report.final_metrics.area_um2);
-//! assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0));
-//! # Ok(())
-//! # }
-//! ```
-//!
-//! # Static analysis & race checking
-//!
-//! The kernels above rest on conventions no compiler checks; the workspace
-//! carries both a static and a dynamic guard for them:
-//!
-//! * **`ncgws-analyze`** (a dependency-free workspace binary, not part of
-//!   this facade) lints the conventions themselves: hot sweep/kernel
-//!   functions stay allocation-free, every `unsafe` site documents its
-//!   invariant, the serving layer never panics outside injected faults, and
-//!   parallel-gated code keeps a sequential fallback. Findings are
-//!   fingerprinted line-number-free against the committed
-//!   `ANALYZE_BASELINE.txt`; `cargo run -p ncgws-analyze -- --deny` is the
-//!   CI gate.
-//! * The **`race-check`** cargo feature arms a debug-only shadow claim map
-//!   on [`SharedMut`](circuit::SharedMut) kernel writes
-//!   (`ncgws_circuit::race`): each parallel pass runs every chunk body in a
-//!   `(pass, level, chunk)` context, each write claims its index, and two
-//!   chunks of one pass writing the same index panic immediately — the
-//!   level-partition invariant behind every `unsafe` kernel write, made
-//!   observable. `cargo test --features "parallel race-check"` keeps the
-//!   thread-determinism suite bitwise-green with the checker armed; the
-//!   production build compiles the instrumentation away.
+//! **`ncgws-analyze`** (a dependency-free workspace binary, not part of
+//! this facade) lints conventions no compiler checks: hot sweep functions
+//! stay allocation-free, every `unsafe` site documents its invariant, the
+//! serving layer never panics outside injected faults, and
+//! `parallel`-gated code keeps a sequential fallback. Findings are
+//! fingerprinted line-number-free against the committed
+//! `ANALYZE_BASELINE.txt`; `cargo run -p ncgws-analyze -- --deny` is the
+//! CI gate.
 //!
 //! # Batch execution
 //!
@@ -533,8 +459,8 @@ pub use ncgws_core::{
 // adaptive warm-start/active-set/incremental schedule.
 pub use ncgws_core::{AdaptiveSchedule, SolveStrategy};
 
-// The level-parallel runtime policy: deterministic multi-threaded inner
-// loop (bitwise identical across thread counts).
+// The recorded stage-2 thread policy (kept for configuration and job-spec
+// compatibility; every value runs the same sequential stage 2).
 pub use ncgws_core::ParallelPolicy;
 
 /// Version of the ncgws workspace.

@@ -1,8 +1,10 @@
 //! Property tests pinning the allocation-free evaluation engine to the
 //! allocate-per-call reference path: on random synthetic instances the two
-//! must produce **bitwise identical** results, and a reused engine must be
-//! perfectly reproducible across repeated solves.
+//! must produce **bitwise identical** results, a reused engine must be
+//! perfectly reproducible across repeated solves, and the fused sweeps must
+//! leave tables that match a full traversal at their final sizes.
 
+use ncgws::circuit::{CircuitTopology, SizeVector};
 use ncgws::core::CircuitMetrics;
 use ncgws::core::{
     build_coupling, reference, ConstraintBounds, LrsSolver, Multipliers, OgwsSolver,
@@ -108,5 +110,40 @@ proptest! {
         // And a fresh engine gives the same answer as the reused one.
         let fresh = solver.solve(&problem);
         prop_assert_eq!(&fresh.sizes, &second.sizes);
+    }
+
+    /// On random circuits with multi-fanout nets, the fused Gauss–Seidel
+    /// sweeps leave their tables exactly as one full traversal at the
+    /// post-sweep sizes computes them: every node reads settled neighbours.
+    #[test]
+    fn fused_sweeps_leave_tables_consistent_with_their_sizes(
+        seed in 0u64..400,
+        gates in 12usize..40,
+        coupling in 0.0f64..5.0,
+    ) {
+        let inst = instance(seed, gates);
+        let graph = &inst.circuit;
+        let topo = CircuitTopology::new(graph);
+        let n = graph.num_nodes();
+        let extra: Vec<f64> = (0..n).map(|i| if i % 3 == 0 { coupling } else { 0.0 }).collect();
+        let weights: Vec<f64> = (0..n).map(|i| 0.1 + (i % 7) as f64 * 0.2).collect();
+        let resize = |_: usize, _: usize, value: f64, x: f64| -> f64 {
+            (x * 0.5 + value.sqrt().min(4.0) * 0.5).clamp(0.2, 8.0)
+        };
+
+        let mut sizes = graph.uniform_sizes(1.0);
+        let (mut charged, mut presented, mut upstream) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        topo.fused_downstream_resize(&mut sizes, &extra, &mut charged, &mut presented, &mut { resize });
+        let mut full_charged = vec![0.0; n];
+        let mut full_presented = vec![0.0; n];
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut full_charged, &mut full_presented);
+        prop_assert_eq!(&charged, &full_charged);
+        prop_assert_eq!(&presented, &full_presented);
+
+        topo.fused_upstream_resize(&mut sizes, &weights, &mut upstream, &mut { resize });
+        let mut full_upstream = vec![0.0; n];
+        topo.upstream_resistance_into(&sizes, &weights, &mut full_upstream);
+        prop_assert_eq!(&upstream, &full_upstream);
+        prop_assert!(sizes != SizeVector::uniform(graph.num_components(), 1.0));
     }
 }

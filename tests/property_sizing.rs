@@ -1,9 +1,10 @@
 //! Property-based tests of the Lagrangian sizing engine on randomly
-//! generated circuits: bound respect, determinism, and monotone response to
-//! the multipliers.
+//! generated circuits: bound respect, determinism, monotone response to
+//! the multipliers, and weak duality of the OGWS bounds.
 
 use ncgws::core::{
-    build_coupling, ConstraintBounds, LrsSolver, Multipliers, OrderingStrategy, SizingProblem,
+    build_coupling, ConstraintBounds, Flow, LrsSolver, Multipliers, OptimizerConfig,
+    OrderingStrategy, SizingProblem, SolveStrategy,
 };
 use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 use proptest::prelude::*;
@@ -96,5 +97,53 @@ proptest! {
         m.beta = beta;
         let constrained = solver.solve(&problem, &m);
         prop_assert!(constrained.sizes.sum() <= relaxed.sizes.sum() + 1e-9);
+    }
+
+    /// Weak duality on the raw iteration records: every dual value is a
+    /// lower bound on the optimum, so the largest one may not exceed the
+    /// area of any iterate that violates no constraint. The stored gap is
+    /// clamped at zero, so the check reads `dual_value` and `primal_area`
+    /// directly.
+    #[test]
+    fn best_dual_never_exceeds_a_feasible_primal_area(
+        seed in 0u64..300,
+        gates in 12usize..30,
+    ) {
+        let inst = instance(seed, gates);
+        for strategy in [SolveStrategy::Exact, SolveStrategy::adaptive()] {
+            let config = OptimizerConfig::builder()
+                .max_iterations(60)
+                .solve_strategy(strategy.clone())
+                .build()
+                .expect("valid configuration");
+            let sized = Flow::prepare(&inst, config)
+                .expect("prepare")
+                .order()
+                .expect("order")
+                .size()
+                .expect("size");
+            let records = &sized.report.iteration_records;
+            let max_dual = records
+                .iter()
+                .map(|r| r.dual_value)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let min_feasible_area = records
+                .iter()
+                .filter(|r| {
+                    r.delay_violation <= 0.0
+                        && r.power_violation <= 0.0
+                        && r.crosstalk_violation <= 0.0
+                        && r.extra_violation <= 0.0
+                })
+                .map(|r| r.primal_area)
+                .fold(f64::INFINITY, f64::min);
+            prop_assert!(
+                max_dual <= min_feasible_area,
+                "{:?}: dual {} above feasible area {}",
+                strategy,
+                max_dual,
+                min_feasible_area
+            );
+        }
     }
 }
