@@ -10,7 +10,8 @@
 //!   and requires adjacent `// SAFETY:` / `# Safety` documentation;
 //! * the serving layer **never panics** outside injected faults (PR 9) —
 //!   [`passes::panic_path`] denies `unwrap`/`expect`/`panic!`/unjustified
-//!   indexing in non-test `crates/serve` code;
+//!   indexing in non-test `crates/serve` code and in the JSON decoder
+//!   ([`DECODER_FILES`]) that reads the journal and snapshots;
 //! * `#[cfg(feature = "parallel")]` code keeps a **sequential fallback** —
 //!   [`passes::feature_gate`] checks gated early-returns and items.
 //!
@@ -59,6 +60,11 @@ const SCAN_DIRS: &[&str] = &["src", "crates", "examples", "tests"];
 /// yet fully scanned when a fixture tree is itself passed as the root.
 const SKIP_FRAGMENTS: &[&str] = &["/vendor/", "/target/", "/fixtures/"];
 
+/// Files analyzed although they sit under a skipped directory: the JSON
+/// decoder in the vendored serde reads untrusted journal and snapshot
+/// bytes, so it is held to the serving layer's panic-path rule.
+pub const DECODER_FILES: &[&str] = &["vendor/serde/src/de.rs"];
+
 /// Collects the repo-relative paths of all first-party `.rs` files under
 /// `root`, sorted for deterministic output.
 pub fn collect_files(root: &Path) -> Vec<PathBuf> {
@@ -66,6 +72,8 @@ pub fn collect_files(root: &Path) -> Vec<PathBuf> {
     for dir in SCAN_DIRS {
         walk(root, &root.join(dir), &mut out);
     }
+    let decoders = DECODER_FILES.iter().map(|file| root.join(file));
+    out.extend(decoders.filter(|path| path.is_file()));
     out.sort();
     out
 }
@@ -123,7 +131,7 @@ pub fn analyze_model(model: &FileModel, sink: &mut Sink, unsafe_sites: &mut Vec<
         passes::no_alloc::run(model, hot_fns, sink);
     }
     unsafe_sites.extend(passes::unsafe_audit::run(model, sink));
-    if model.path.starts_with("crates/serve/src/") {
+    if model.path.starts_with("crates/serve/src/") || DECODER_FILES.contains(&model.path.as_str()) {
         passes::panic_path::run(model, sink);
     }
     passes::feature_gate::run(model, sink);

@@ -6,7 +6,8 @@
 //! condition into a lost job. This pass denies `.unwrap()` / `.expect()`,
 //! `panic!` / `unreachable!` / `todo!` / `unimplemented!`, and slice
 //! indexing without a justifying comment, in all non-test code of the
-//! files it is pointed at (the serve crate).
+//! files it is pointed at: the serve crate, and the JSON decoder the serve
+//! crate reads its journal and snapshots through.
 
 use crate::findings::Sink;
 use crate::lexer::TokKind;
@@ -23,7 +24,8 @@ const NON_EXPR_KEYWORDS: &[&str] = &[
     "box", "break", "continue", "where", "const", "static",
 ];
 
-/// Runs the pass over one file (the driver scopes it to `crates/serve`).
+/// Runs the pass over one file (the driver scopes it to `crates/serve` and
+/// the decoder).
 pub fn run(model: &FileModel, sink: &mut Sink) {
     let toks = &model.lexed.toks;
     for (i, t) in toks.iter().enumerate() {

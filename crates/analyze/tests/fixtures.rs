@@ -148,3 +148,20 @@ fn fingerprints_are_stable_under_line_shifts() {
         "lines did actually move (the keys' stability is not vacuous)"
     );
 }
+
+/// The JSON decoder under `vendor/` is held to the panic-path rule, while
+/// the rest of `vendor/` stays unscanned.
+#[test]
+fn decoder_file_is_scanned_for_panic_paths() {
+    let analysis = run("decoder");
+    assert_eq!(analysis.files, 1, "only the decoder file is analyzed");
+    // The unjustified index and the expect are reported; the justified
+    // index is not.
+    assert_eq!(
+        keys(&analysis.findings),
+        [
+            "panic-path|vendor/serde/src/de.rs|first_key|indexing@1",
+            "panic-path|vendor/serde/src/de.rs|first_key|expect@1",
+        ]
+    );
+}

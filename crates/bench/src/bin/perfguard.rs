@@ -15,214 +15,40 @@
 //! disarming it. CI copies the committed file aside, regenerates it with
 //! `table1 --json` under `NCGWS_QUICK=1`, then runs this guard.
 //!
-//! The vendored `serde_json` is serialize-only, so the two documents are
-//! read with a purpose-built scanner. Unlike its first incarnation — which
-//! truncated the `"circuits"` section at the first `]` and split objects on
-//! `{`, silently dropping every circuit after a nested array or object —
-//! the scanner is bracket-depth- and string-aware: sections end at their
-//! *matching* bracket, objects at theirs, and fields are matched at the
-//! object's top depth only, in any key order.
+//! The two documents are decoded with the workspace's serde derives: only
+//! the top-level `circuits` array is read, unknown keys (nested arrays and
+//! objects, legacy `threads`/`simd` sections) are ignored, and key order
+//! does not matter.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Returns the index just past a JSON string starting at `start`
-/// (`bytes[start] == b'"'`), honoring backslash escapes, plus the string's
-/// contents.
-fn read_string(bytes: &[u8], start: usize) -> Option<(usize, &str)> {
-    debug_assert_eq!(bytes[start], b'"');
-    let mut i = start + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => {
-                let content = std::str::from_utf8(&bytes[start + 1..i]).ok()?;
-                return Some((i + 1, content));
-            }
-            _ => i += 1,
-        }
-    }
-    None
+use serde::Deserialize;
+
+/// The part of a `BENCH_table1.json` document the guard reads.
+#[derive(Deserialize)]
+struct Summary {
+    circuits: Vec<CircuitRow>,
 }
 
-/// Returns the index of the bracket matching the one at `open`
-/// (`bytes[open]` is `[` or `{`), skipping strings.
-fn matching_bracket(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => i = read_string(bytes, i)?.0,
-            b'[' | b'{' => {
-                depth += 1;
-                i += 1;
-            }
-            b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// The interior of the top-level array named `section` (between — not
-/// including — its matching brackets), or `None` when the document has no
-/// such section. Only keys at depth 1 (direct members of the root object)
-/// match, so a circuit *named* `"schedule"` can never hijack a section.
-fn section_array<'a>(json: &'a str, section: &str) -> Option<&'a str> {
-    let bytes = json.as_bytes();
-    let mut depth = 0usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                let (after, token) = read_string(bytes, i)?;
-                i = after;
-                if depth != 1 || token != section {
-                    continue;
-                }
-                let mut j = i;
-                while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                    j += 1;
-                }
-                if j >= bytes.len() || bytes[j] != b':' {
-                    continue;
-                }
-                j += 1;
-                while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                    j += 1;
-                }
-                if j < bytes.len() && bytes[j] == b'[' {
-                    let close = matching_bracket(bytes, j)?;
-                    return Some(&json[j + 1..close]);
-                }
-            }
-            b'[' | b'{' => {
-                depth += 1;
-                i += 1;
-            }
-            b']' | b'}' => {
-                depth = depth.saturating_sub(1);
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// The top-level object slices (including their braces) of an array
-/// interior, each delimited at its *matching* brace — nested arrays and
-/// objects inside a row stay inside that row.
-fn array_objects(array: &str) -> Vec<&str> {
-    let bytes = array.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => match read_string(bytes, i) {
-                Some((after, _)) => i = after,
-                None => break,
-            },
-            b'{' => match matching_bracket(bytes, i) {
-                Some(close) => {
-                    out.push(&array[i..=close]);
-                    i = close + 1;
-                }
-                None => break,
-            },
-            _ => i += 1,
-        }
-    }
-    out
-}
-
-/// The raw value text of `key` at the top depth of an object slice
-/// (braces included), in any key order; `None` when the key is absent.
-fn field<'a>(object: &'a str, key: &str) -> Option<&'a str> {
-    let bytes = object.as_bytes();
-    debug_assert_eq!(bytes.first(), Some(&b'{'));
-    let end = matching_bracket(bytes, 0)?;
-    let mut i = 1;
-    while i < end {
-        // Skip to the next key.
-        while i < end && bytes[i] != b'"' {
-            i += 1;
-        }
-        if i >= end {
-            break;
-        }
-        let (after_key, name) = read_string(bytes, i)?;
-        let mut j = after_key;
-        while j < end && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if j >= end || bytes[j] != b':' {
-            // Not a key (e.g. a string inside an array value that slipped
-            // through) — resynchronize.
-            i = after_key;
-            continue;
-        }
-        j += 1;
-        while j < end && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        let value_start = j;
-        let value_end = match bytes.get(j) {
-            Some(b'"') => read_string(bytes, j)?.0,
-            Some(b'[') | Some(b'{') => matching_bracket(bytes, j)? + 1,
-            _ => {
-                let mut k = j;
-                while k < end && bytes[k] != b',' {
-                    k += 1;
-                }
-                k
-            }
-        };
-        if name == key {
-            return Some(object[value_start..value_end].trim());
-        }
-        i = value_end;
-    }
-    None
-}
-
-/// A string-typed field of an object slice.
-fn string_field(object: &str, key: &str) -> Option<String> {
-    let raw = field(object, key)?;
-    let bytes = raw.as_bytes();
-    if bytes.first() != Some(&b'"') {
-        return None;
-    }
-    read_string(bytes, 0).map(|(_, s)| s.to_string())
-}
-
-/// A number-typed field of an object slice.
-fn number_field(object: &str, key: &str) -> Option<f64> {
-    field(object, key)?.parse().ok()
+/// One `circuits` row; rows missing either key are skipped.
+#[derive(Deserialize)]
+struct CircuitRow {
+    name: Option<String>,
+    seconds_per_iteration: Option<f64>,
 }
 
 /// Extracts `name → seconds_per_iteration` from the `"circuits"` array of a
-/// `BENCH_table1.json` document. Rows missing either key are skipped.
+/// `BENCH_table1.json` document (empty when the document does not decode).
 fn circuit_timings(json: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let Some(array) = section_array(json, "circuits") else {
-        return out;
+    let Ok(summary) = serde_json::from_str::<Summary>(json) else {
+        return BTreeMap::new();
     };
-    for object in array_objects(array) {
-        if let (Some(name), Some(spi)) = (
-            string_field(object, "name"),
-            number_field(object, "seconds_per_iteration"),
-        ) {
-            out.insert(name, spi);
-        }
-    }
-    out
+    summary
+        .circuits
+        .into_iter()
+        .filter_map(|row| Some((row.name?, row.seconds_per_iteration?)))
+        .collect()
 }
 
 /// Compares one timing map against its baseline. Returns whether any row
@@ -344,9 +170,8 @@ mod tests {
   ]
 }"#;
 
-    /// The regression the bracket-depth scanner fixes: a nested array (and
-    /// a nested object) inside a circuit row must not truncate the section
-    /// scan, and rows after it must still be extracted.
+    /// A nested array (and a nested object) inside a circuit row must not
+    /// truncate the section, and rows after it must still be extracted.
     const NESTED: &str = r#"{
   "circuits": [
     { "name": "c432",
@@ -447,7 +272,9 @@ mod tests {
 }"#;
         let map = circuit_timings(doc);
         assert_eq!(map.keys().collect::<Vec<_>>(), ["outer"]);
-        assert!(section_array(r#"{ "x": { "circuits": [] } }"#, "circuits").is_none());
+        let nested_only =
+            r#"{ "x": { "circuits": [ { "name": "in", "seconds_per_iteration": 1.0 } ] } }"#;
+        assert!(circuit_timings(nested_only).is_empty());
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::tech::Technology;
 /// all analyses borrow it together with a [`SizeVector`] holding the current
 /// component sizes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "GraphParts")]
 pub struct CircuitGraph {
     nodes: Vec<Node>,
     fanin: Vec<Vec<NodeId>>,
@@ -32,6 +33,33 @@ pub struct CircuitGraph {
     num_drivers: usize,
     num_sizable: usize,
     name_index: HashMap<String, NodeId>,
+}
+
+/// A decoded [`CircuitGraph`] before [`CircuitGraph::from_serialized_parts`]
+/// checks it (the serialized `name_index` is rebuilt, not read).
+#[derive(Deserialize)]
+struct GraphParts {
+    nodes: Vec<Node>,
+    fanin: Vec<Vec<NodeId>>,
+    fanout: Vec<Vec<NodeId>>,
+    tech: Technology,
+    num_drivers: usize,
+    num_sizable: usize,
+}
+
+impl TryFrom<GraphParts> for CircuitGraph {
+    type Error = CircuitError;
+
+    fn try_from(p: GraphParts) -> Result<Self, CircuitError> {
+        CircuitGraph::from_serialized_parts(
+            p.nodes,
+            p.fanin,
+            p.fanout,
+            p.tech,
+            p.num_drivers,
+            p.num_sizable,
+        )
+    }
 }
 
 impl CircuitGraph {
@@ -64,8 +92,8 @@ impl CircuitGraph {
         }
     }
 
-    /// Reassembles a graph from untrusted serialized parts (the read side of
-    /// the serve crate's durable job journal), validating everything the
+    /// Reassembles a graph from untrusted serialized parts (what decoding a
+    /// graph from JSON goes through), validating everything the
     /// builder normally guarantees: consistent vector lengths, in-range
     /// edge endpoints, mirrored fanin/fanout lists, and the structural
     /// invariants of [`validate`](crate::validate::validate).

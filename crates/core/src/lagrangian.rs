@@ -24,6 +24,7 @@ use crate::problem::SizingProblem;
 /// memory instead of one heap allocation per node; extra blocks are stored
 /// parallel to the constraint set's families.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "MultiplierParts")]
 pub struct Multipliers {
     /// Flat `λ` values: `values[offsets[i] + slot]` is `λ_{ji}` where
     /// `j = fanin(i)[slot]`.
@@ -37,6 +38,24 @@ pub struct Multipliers {
     /// Extra-family multiplier blocks `μ_f ≥ 0`, parallel to the problem's
     /// [`ConstraintSet::families`]. Empty when no extra families exist.
     extra: Vec<Vec<f64>>,
+}
+
+/// Decoded [`Multipliers`] before [`Multipliers::from_parts`] checks them.
+#[derive(Deserialize)]
+struct MultiplierParts {
+    values: Vec<f64>,
+    offsets: Vec<u32>,
+    beta: f64,
+    gamma: f64,
+    extra: Vec<Vec<f64>>,
+}
+
+impl TryFrom<MultiplierParts> for Multipliers {
+    type Error = String;
+
+    fn try_from(p: MultiplierParts) -> Result<Self, String> {
+        Multipliers::from_parts(p.values, p.offsets, p.beta, p.gamma, p.extra)
+    }
 }
 
 impl Multipliers {

@@ -34,9 +34,10 @@ use crate::units;
 /// // Still validated, so a corrupt job spec is caught at decode time.
 /// assert!(OptimizerConfig::builder().threads(1 << 20).build().is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ParallelPolicy {
     /// One thread (the default).
+    #[default]
     Sequential,
     /// The former level-parallel policy; runs exactly as `Sequential`.
     Level {
@@ -44,15 +45,6 @@ pub enum ParallelPolicy {
         /// unused.
         threads: usize,
     },
-}
-
-// Not derived: `#[derive(Default)]` on an enum needs a `#[default]` variant
-// attribute, which the vendored serde derive cannot parse past.
-#[allow(clippy::derivable_impls)]
-impl Default for ParallelPolicy {
-    fn default() -> Self {
-        ParallelPolicy::Sequential
-    }
 }
 
 impl ParallelPolicy {

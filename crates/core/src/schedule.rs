@@ -48,24 +48,16 @@ use serde::{Deserialize, Serialize};
 use crate::error::CoreError;
 
 /// How the OGWS inner loop schedules its LRS solves and coordinate sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub enum SolveStrategy {
     /// The paper's exact Figure-8 schedule: every solve restarts from the
     /// lower bounds and every sweep re-evaluates and resizes every
     /// component. Bitwise-pinned to [`crate::reference`].
+    #[default]
     Exact,
     /// The adaptive schedule: warm starts, active-set sweeps and sparse
     /// incremental evaluation, as configured.
     Adaptive(AdaptiveSchedule),
-}
-
-// Not derived: `#[derive(Default)]` on an enum needs a `#[default]` variant
-// attribute, which the vendored serde derive cannot parse past.
-#[allow(clippy::derivable_impls)]
-impl Default for SolveStrategy {
-    fn default() -> Self {
-        SolveStrategy::Exact
-    }
 }
 
 impl SolveStrategy {
@@ -174,7 +166,7 @@ impl AdaptiveSchedule {
 
 /// Convergence and accounting statistics of one scheduled LRS solve
 /// ([`LrsSolver::solve_scheduled`](crate::LrsSolver::solve_scheduled)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ScheduledStats {
     /// Number of coordinate sweeps performed.
     pub sweeps: usize,
@@ -195,7 +187,8 @@ pub struct ScheduledStats {
 /// the interrupted one. The cached electrical tables are deliberately *not*
 /// captured: a restore leaves them unsynced, so the next solve rebuilds them
 /// exactly from the snapshot sizes.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "ScheduleStateParts")]
 pub struct ScheduleState {
     /// Consecutive calm sweeps per component.
     pub calm: Vec<u32>,
@@ -204,6 +197,29 @@ pub struct ScheduleState {
     /// Sweeps performed across the run so far (the verification cadence
     /// counter).
     pub global_sweep: usize,
+}
+
+/// A decoded [`ScheduleState`] before its per-component lengths are checked.
+#[derive(Deserialize)]
+struct ScheduleStateParts {
+    calm: Vec<u32>,
+    frozen: Vec<bool>,
+    global_sweep: usize,
+}
+
+impl TryFrom<ScheduleStateParts> for ScheduleState {
+    type Error = &'static str;
+
+    fn try_from(p: ScheduleStateParts) -> Result<Self, Self::Error> {
+        if p.calm.len() != p.frozen.len() {
+            return Err("`calm` and `frozen` must have the same length");
+        }
+        Ok(ScheduleState {
+            calm: p.calm,
+            frozen: p.frozen,
+            global_sweep: p.global_sweep,
+        })
+    }
 }
 
 impl ScheduleState {

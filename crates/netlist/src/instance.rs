@@ -27,6 +27,7 @@ impl ChannelGeometry {
 /// channel geometry, and the primary-input patterns used to derive switching
 /// similarity.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "InstanceParts")]
 pub struct ProblemInstance {
     /// Benchmark name.
     pub name: String,
@@ -38,6 +39,34 @@ pub struct ProblemInstance {
     pub geometry: ChannelGeometry,
     /// Primary-input vectors for logic simulation.
     pub patterns: PatternSet,
+}
+
+/// A decoded [`ProblemInstance`] before its channel wire ids are checked.
+#[derive(Deserialize)]
+struct InstanceParts {
+    name: String,
+    circuit: CircuitGraph,
+    channels: Vec<Vec<NodeId>>,
+    geometry: ChannelGeometry,
+    patterns: PatternSet,
+}
+
+impl TryFrom<InstanceParts> for ProblemInstance {
+    type Error = String;
+
+    fn try_from(p: InstanceParts) -> Result<Self, String> {
+        let nodes = p.circuit.num_nodes();
+        if let Some(id) = p.channels.iter().flatten().find(|id| id.index() >= nodes) {
+            return Err(format!("channel wire {id} is out of range"));
+        }
+        Ok(ProblemInstance {
+            name: p.name,
+            circuit: p.circuit,
+            channels: p.channels,
+            geometry: p.geometry,
+            patterns: p.patterns,
+        })
+    }
 }
 
 impl ProblemInstance {

@@ -7,15 +7,17 @@
 //! interruption limits (iteration budget, wall-clock timeout) that turn a
 //! long run into a chain of checkpointed attempts.
 //!
-//! Every type here derives `Serialize`, so specs and outcomes can be logged
-//! as JSON next to the server's event stream.
+//! Specs and outcomes derive `Serialize` and `Deserialize`: they are logged
+//! as JSON next to the server's event stream, and the durable journal
+//! stores them so [`Server::recover`](crate::Server::recover) can decode
+//! them after a crash.
 
 use std::fmt;
 use std::mem;
 
 use ncgws_core::{CircuitMetrics, OptimizerConfig, StopReason};
 use ncgws_netlist::{CircuitSpec, ProblemInstance};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Opaque handle to a submitted job, returned by
 /// [`Server::submit`](crate::Server::submit).
@@ -47,7 +49,7 @@ impl fmt::Display for JobId {
 // instances they produce; boxing it would only push Box::new onto every
 // submission site.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum JobInput {
     /// Generate the circuit from a synthetic benchmark spec on first run
     /// (the generated instance is cached across resume attempts).
@@ -87,7 +89,7 @@ impl JobInput {
 /// capped at `max_delay_ms`, plus a deterministic seeded jitter of up to
 /// `jitter` × that delay. The jitter is a pure function of
 /// `(seed, job id, retry index)`, so a replayed run backs off identically.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Retries allowed after the first failed attempt; `0` fails fast.
     pub max_retries: usize,
@@ -159,7 +161,7 @@ impl Default for RetryPolicy {
 }
 
 /// Everything needed to run one optimization job on a [`Server`](crate::Server).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobSpec {
     /// The circuit to size.
     pub input: JobInput,
@@ -232,6 +234,21 @@ impl JobSpec {
     pub fn memory_bytes(&self) -> usize {
         mem::size_of::<Self>() + self.input.memory_bytes() + self.tenant.len()
     }
+
+    /// Runs the range checks decoding does not: the optimizer
+    /// configuration's and, for a synthetic input, its technology's (a
+    /// prepared instance's graph checks its own technology while decoding).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.config.validate().map_err(|e| e.to_string())?;
+        if let JobInput::Synthetic(spec) = &self.input {
+            spec.technology.validate().map_err(|e| e.to_string())?;
+        }
+        Ok(())
+    }
 }
 
 /// Lifecycle state of a job, pollable via
@@ -265,7 +282,7 @@ impl JobState {
 
 /// Final result of a job, available from
 /// [`Server::outcome`](crate::Server::outcome) once the state is terminal.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobOutcome {
     /// Why the final attempt stopped.
     pub stop_reason: StopReason,

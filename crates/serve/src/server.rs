@@ -44,15 +44,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ncgws_core::flow::Flow;
-use ncgws_core::snapshot::json::JsonValue;
+use ncgws_core::snapshot::json::{self, JsonValue};
 use ncgws_core::{
     CancelFlag, CheckpointPolicy, CheckpointSink, CoreError, IterationEvent, Observer, RunControl,
     SizedOutcome, Snapshot, SnapshotStore, StopReason,
 };
 use ncgws_netlist::{ProblemInstance, SyntheticGenerator};
-use serde::Serialize;
+use serde::de::DeserializeOwned;
+use serde::{Deserialize, Serialize};
 
-use crate::codec;
 use crate::events::{line, Field};
 use crate::fault::FaultPlan;
 use crate::job::{JobId, JobInput, JobOutcome, JobSpec, JobState};
@@ -61,7 +61,7 @@ use crate::store::{DiskSink, DiskSnapshotStore, Journal, StoreConfig, StoreError
 use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
 
 /// Server-wide policy knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct ServerConfig {
     /// Worker threads draining the queue (at least 1).
     pub workers: usize,
@@ -104,32 +104,6 @@ impl ServerConfig {
                 .map_or("null".to_string(), |n| n.to_string()),
             self.max_attempts
         )
-    }
-
-    fn from_journal(obj: &[(String, JsonValue)]) -> Result<ServerConfig, String> {
-        let get = |name: &str| -> Result<&JsonValue, String> {
-            ncgws_core::snapshot::json::get(obj, name)
-                .ok_or_else(|| format!("server entry is missing `{name}`"))
-        };
-        let usize_of = |name: &str| -> Result<usize, String> {
-            get(name)?
-                .as_usize()
-                .ok_or_else(|| format!("server entry `{name}` must be an integer"))
-        };
-        let checkpoint_every = match get("checkpoint_every")? {
-            JsonValue::Null => None,
-            v => Some(
-                v.as_usize()
-                    .ok_or("server entry `checkpoint_every` must be an integer or null")?,
-            ),
-        };
-        Ok(ServerConfig {
-            workers: usize_of("workers")?,
-            max_in_flight_per_tenant: usize_of("max_in_flight_per_tenant")?,
-            max_queued_per_tenant: usize_of("max_queued_per_tenant")?,
-            checkpoint_every,
-            max_attempts: usize_of("max_attempts")?,
-        })
     }
 }
 
@@ -196,6 +170,19 @@ impl std::error::Error for SubmitError {}
 /// Ready-queue key: smaller sorts first, so negated priority puts the
 /// highest priority at `first()`, then FIFO by submission sequence.
 type QueueKey = (i64, u64, u64);
+
+/// Decodes the `key` field of a journal entry, moving it out of the pairs.
+fn decode_field<T: DeserializeOwned>(
+    pairs: &mut Vec<(String, JsonValue)>,
+    key: &str,
+) -> Result<T, String> {
+    let missing = || format!("entry is missing `{key}`");
+    let at = pairs
+        .iter()
+        .position(|(k, _)| k == key)
+        .ok_or_else(missing)?;
+    serde_json::from_value(pairs.swap_remove(at).1).map_err(|e| e.to_string())
+}
 
 fn queue_key(priority: i32, seq: u64, id: u64) -> QueueKey {
     (-i64::from(priority), seq, id)
@@ -470,42 +457,38 @@ impl Server {
 
         let mut config: Option<ServerConfig> = None;
         let mut jobs: BTreeMap<u64, RecJob> = BTreeMap::new();
-        for (index, value) in entries.iter().enumerate() {
-            let obj = value
-                .as_object()
-                .ok_or_else(|| journal_err(index, "entry is not an object".into()))?;
-            let kind = ncgws_core::snapshot::json::get(obj, "entry")
+        for (index, value) in entries.into_iter().enumerate() {
+            let JsonValue::Object(mut obj) = value else {
+                return Err(journal_err(index, "entry is not an object".into()));
+            };
+            let kind = json::get(&obj, "entry")
                 .and_then(JsonValue::as_str)
+                .map(str::to_owned)
                 .ok_or_else(|| journal_err(index, "entry is missing `entry`".into()))?;
             if kind == "server" {
-                config = Some(ServerConfig::from_journal(obj).map_err(|e| journal_err(index, e))?);
+                config = Some(
+                    serde_json::from_value(JsonValue::Object(obj))
+                        .map_err(|e| journal_err(index, e.to_string()))?,
+                );
                 continue;
             }
-            let job_id = ncgws_core::snapshot::json::get(obj, "job")
+            let job_id = json::get(&obj, "job")
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| journal_err(index, format!("`{kind}` entry is missing `job`")))?;
+            let flag = |key: &str| json::get(&obj, key).and_then(JsonValue::as_bool) == Some(true);
             let job = jobs.entry(job_id).or_default();
-            match kind {
+            match kind.as_str() {
                 "submitted" => {
-                    let spec_value =
-                        ncgws_core::snapshot::json::get(obj, "spec").ok_or_else(|| {
-                            journal_err(index, "submitted entry missing `spec`".into())
-                        })?;
-                    job.spec = Some(
-                        codec::decode_job_spec(spec_value).map_err(|e| journal_err(index, e))?,
-                    );
-                    let resume = ncgws_core::snapshot::json::get(obj, "resume")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false);
-                    job.has_checkpoint |= resume;
+                    job.has_checkpoint |= flag("resume");
+                    let spec: JobSpec = decode_field(&mut obj, "spec")
+                        .and_then(|spec: JobSpec| spec.validate().map(|()| spec))
+                        .map_err(|e| journal_err(index, e))?;
+                    job.spec = Some(spec);
                 }
                 "dispatched" => {
                     job.attempts += 1;
                     job.state = JobState::Running;
-                    if ncgws_core::snapshot::json::get(obj, "resumed")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false)
-                    {
+                    if flag("resumed") {
                         job.resumed_attempts += 1;
                     }
                 }
@@ -516,17 +499,13 @@ impl Server {
                     job.retries += 1;
                 }
                 "completed" | "cancelled" | "failed" => {
-                    job.state = match kind {
+                    job.state = match kind.as_str() {
                         "completed" => JobState::Completed,
                         "cancelled" => JobState::Cancelled,
                         _ => JobState::Failed,
                     };
-                    let outcome_value = ncgws_core::snapshot::json::get(obj, "outcome")
-                        .ok_or_else(|| journal_err(index, format!("`{kind}` missing `outcome`")))?;
-                    job.outcome = Some(
-                        codec::decode_job_outcome(outcome_value)
-                            .map_err(|e| journal_err(index, e))?,
-                    );
+                    let outcome = decode_field(&mut obj, "outcome");
+                    job.outcome = Some(outcome.map_err(|e| journal_err(index, e))?);
                 }
                 // Unknown kinds are tolerated for forward compatibility.
                 _ => {}

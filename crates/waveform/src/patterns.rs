@@ -12,9 +12,33 @@ use serde::{Deserialize, Serialize};
 /// generates reproducible pseudo-random vectors (see DESIGN.md, substitution
 /// 2). Deterministic seeding keeps every experiment repeatable.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "PatternParts")]
 pub struct PatternSet {
     num_inputs: usize,
     vectors: Vec<Vec<bool>>,
+}
+
+/// A decoded [`PatternSet`] before its vector widths are checked (so
+/// untrusted input never reaches the assert in [`PatternSet::from_vectors`]).
+#[derive(Deserialize)]
+struct PatternParts {
+    num_inputs: usize,
+    vectors: Vec<Vec<bool>>,
+}
+
+impl TryFrom<PatternParts> for PatternSet {
+    type Error = String;
+
+    fn try_from(p: PatternParts) -> Result<Self, String> {
+        match p.vectors.iter().find(|v| v.len() != p.num_inputs) {
+            Some(v) => Err(format!(
+                "{} pattern bits, expected {}",
+                v.len(),
+                p.num_inputs
+            )),
+            None => Ok(PatternSet::from_vectors(p.num_inputs, p.vectors)),
+        }
+    }
 }
 
 impl PatternSet {
